@@ -199,6 +199,13 @@ impl Ignite {
         self.replayer.as_ref().is_some_and(|r| !r.is_done())
     }
 
+    /// The earliest cycle at or after `now` on which [`Ignite::step`] has
+    /// work: every cycle while replay is pending (throttled steps and the
+    /// watchdog count cycles), `None` once it is done or was never armed.
+    pub fn next_due(&self, now: Cycle) -> Option<Cycle> {
+        self.replay_pending().then_some(now)
+    }
+
     /// Total records in the armed replay stream (0 without a replayer).
     /// Observability accessor: lets the engine label replay-begin events.
     pub fn replay_total_entries(&self) -> u64 {
@@ -235,8 +242,8 @@ impl Ignite {
     pub fn observe_btb_insertions(&mut self, btb: &mut Btb) {
         let events = btb.drain_insertions();
         if let Some(rec) = &mut self.recorder {
-            for entry in &events {
-                rec.observe(entry);
+            for entry in events {
+                rec.observe(&entry);
             }
         }
     }

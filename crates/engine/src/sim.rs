@@ -147,8 +147,8 @@ pub fn run_invocation_obs<S: EventSink>(
     ts_offset: u64,
 ) -> InvocationResult {
     // Circuit-breaker quarantine: detach Ignite for the whole invocation
-    // (before the `has_mechanisms` probe below) and re-attach it on every
-    // return path. Its internal state is untouched — the invocation simply
+    // (so the mechanism catch-up below never sees it) and re-attach it on
+    // every return path. Its internal state is untouched — the invocation simply
     // never happened from Ignite's point of view.
     let stashed_ignite = if ctx.bypass_ignite { m.ignite.take() } else { None };
     let mut res = InvocationResult::default();
@@ -209,8 +209,8 @@ pub fn run_invocation_obs<S: EventSink>(
     let mut bpu_budget: f64 = 2.0;
     // Fractional-cycle accumulator: `m.now` is integral.
     let mut cycle_carry: f64 = 0.0;
+    // The first cycle the paced mechanisms have not been stepped through.
     let mut mech_clock = m.now;
-    let has_mechanisms = m.jukebox.is_some() || m.ignite.is_some() || m.confluence.is_some();
     // Cold-data pool for the back-end stall model.
     let mut data_pool: f64 = f.data_ws_lines as f64 * ctx.data_cold_fraction.clamp(0.0, 1.0);
 
@@ -222,33 +222,36 @@ pub fn run_invocation_obs<S: EventSink>(
                 None => walker_done = true,
             }
         }
-        let Some(front) = buf.front() else { break };
-        let _ = front;
+        if buf.is_empty() {
+            break;
+        }
 
         // Paced mechanisms (Ignite replay, Jukebox replay, Confluence
-        // streams) catch up to the global clock.
-        if has_mechanisms {
-            while mech_clock <= m.now {
-                step_mechanisms(m, f, mech_clock, &mut res);
-                if replay_live {
-                    if let Some(ig) = &m.ignite {
-                        if !ig.replay_pending() {
-                            replay_live = false;
-                            sink.record(Event {
-                                ts: ts_offset + mech_clock,
-                                dur: 0,
-                                track,
-                                kind: EventKind::ReplayEnd {
-                                    container: f.container,
-                                    restored: ig.replay_restored(),
-                                },
-                            });
-                        }
+        // streams) catch up to the global clock. Only the cycles on which
+        // some mechanism is due are stepped: stepping a mechanism before
+        // its due cycle leaves all state untouched, so jumping over those
+        // idle cycles gives exactly the per-cycle result.
+        while let Some(due) = next_mechanism_due(m, mech_clock).filter(|&due| due <= m.now) {
+            step_mechanisms(m, f, due, &mut res);
+            if replay_live {
+                if let Some(ig) = &m.ignite {
+                    if !ig.replay_pending() {
+                        replay_live = false;
+                        sink.record(Event {
+                            ts: ts_offset + due,
+                            dur: 0,
+                            track,
+                            kind: EventKind::ReplayEnd {
+                                container: f.container,
+                                restored: ig.replay_restored(),
+                            },
+                        });
                     }
                 }
-                mech_clock += 1;
             }
+            mech_clock = due + 1;
         }
+        mech_clock = m.now + 1;
 
         // Demand-time evaluation when the FTQ holds only this block (right
         // after a resteer or at invocation start).
@@ -256,8 +259,14 @@ pub fn run_invocation_obs<S: EventSink>(
             let eval = evaluate(m, f, &buf[0].block, 0);
             buf[0].eval = Some(eval);
         }
-        let Pending { block, eval } = buf.pop_front().expect("non-empty");
-        let eval = eval.expect("evaluated above");
+        // The head stays in `buf` until its prediction metadata has trained
+        // the CBP: reading it in place spares copying the bulky
+        // `Pending` out of the queue on every block.
+        let block = buf[0].block;
+        let (outcome, btb_hit) = {
+            let eval = buf[0].eval.as_ref().expect("evaluated above");
+            (eval.outcome, eval.btb_hit)
+        };
         let block_start_cycle = m.now;
 
         // ---- Fetch ----
@@ -310,16 +319,17 @@ pub fn run_invocation_obs<S: EventSink>(
         let br = block.branch;
         if br.kind == BranchKind::Conditional {
             res.conditional_branches += 1;
-            match &eval.cbp_pred {
+            match buf[0].eval.as_ref().and_then(|eval| eval.cbp_pred.as_ref()) {
                 Some(pred) => m.cbp.resolve(br.pc, br.taken, br.target, pred),
                 None => m.cbp.resolve_uncounted(br.pc, br.taken, br.target),
             }
         } else if br.taken {
             m.cbp.note_taken_branch(br.pc, br.target);
         }
+        buf.pop_front();
         // BTB allocation on taken commit (the event Ignite records), and
         // target update on stale indirect targets.
-        if !ideal && br.taken && (!eval.btb_hit || eval.outcome == Outcome::WrongTarget) {
+        if !ideal && br.taken && (!btb_hit || outcome == Outcome::WrongTarget) {
             m.btb.insert(BtbEntry::new(br.pc, br.target, br.kind), false);
         }
         if let Some(ig) = &mut m.ignite {
@@ -327,7 +337,7 @@ pub fn run_invocation_obs<S: EventSink>(
         }
 
         // Resteer handling.
-        match eval.outcome {
+        match outcome {
             Outcome::Correct => {}
             outcome => {
                 let penalty = match (outcome, br.kind) {
@@ -385,7 +395,7 @@ pub fn run_invocation_obs<S: EventSink>(
                     let eval = evaluate(m, f, &buf[ftq_len - 1].block, ftq_len - 1);
                     buf[ftq_len - 1].eval = Some(eval);
                 }
-                if buf[ftq_len - 1].eval.expect("set above").outcome == Outcome::Correct {
+                if buf[ftq_len - 1].eval.as_ref().expect("set above").outcome == Outcome::Correct {
                     // The successor enters the FTQ: FDP prefetches it.
                     let nb = buf[ftq_len].block;
                     for line in lines_spanned(nb.start, u64::from(nb.bytes)) {
@@ -520,7 +530,20 @@ pub fn run_invocation_obs<S: EventSink>(
     res
 }
 
+/// The earliest cycle at or after `now` on which a paced mechanism has
+/// work, or `None` when every one of them is idle until some new event
+/// (an invocation start, a miss) arms it again.
+fn next_mechanism_due(m: &Machine, now: Cycle) -> Option<Cycle> {
+    let jukebox = m.jukebox.as_ref().and_then(|jb| jb.next_due(now));
+    let ignite = m.ignite.as_ref().and_then(|ig| ig.next_due(now));
+    let confluence = m.confluence.as_ref().and_then(|c| c.next_due(now));
+    [jukebox, ignite, confluence].into_iter().flatten().min()
+}
+
 /// Steps the paced background mechanisms for one cycle.
+///
+/// A mechanism that is not due at `now` (see [`next_mechanism_due`])
+/// does nothing here.
 fn step_mechanisms(m: &mut Machine, f: &PreparedFunction, now: Cycle, res: &mut InvocationResult) {
     if let Some(jb) = &mut m.jukebox {
         let s = jb.step(now, &mut m.hierarchy);

@@ -130,6 +130,14 @@ impl Confluence {
         self.stream.is_some()
     }
 
+    /// The earliest cycle at or after `now` on which [`Confluence::step`]
+    /// has work: from the armed stream's lookup completion on (a step
+    /// that finds the window exhausted still has to retire the stream),
+    /// `None` while no stream is armed.
+    pub fn next_due(&self, now: Cycle) -> Option<Cycle> {
+        self.stream.as_ref().map(|s| s.start_at.max(now))
+    }
+
     /// Record-side hook: observe a committed L1-I access; `was_miss` marks
     /// the block as a potential stream trigger.
     pub fn observe_access(&mut self, addr: Addr, was_miss: bool) {

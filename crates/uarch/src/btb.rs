@@ -163,7 +163,7 @@ pub struct BtbStats {
 /// let entry = BtbEntry::new(Addr::new(0x100), Addr::new(0x900), BranchKind::Call);
 /// btb.insert(entry, false);
 /// assert_eq!(btb.lookup(Addr::new(0x100)), Some(entry));
-/// assert_eq!(btb.drain_insertions(), vec![entry]);
+/// assert_eq!(btb.drain_insertions().collect::<Vec<_>>(), vec![entry]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Btb {
@@ -378,12 +378,14 @@ impl Btb {
         evicted
     }
 
-    /// Takes the log of committed-branch insertions since the last drain.
+    /// Drains the log of committed-branch insertions since the last drain,
+    /// oldest first. The log keeps its buffer, so draining allocates
+    /// nothing; dropping the iterator unconsumed still empties the log.
     ///
     /// Ignite's record logic calls this each cycle to observe BTB allocation
     /// events (§4.1).
-    pub fn drain_insertions(&mut self) -> Vec<BtbEntry> {
-        std::mem::take(&mut self.insert_log)
+    pub fn drain_insertions(&mut self) -> std::vec::Drain<'_, BtbEntry> {
+        self.insert_log.drain(..)
     }
 
     /// Invalidates every entry (lukewarm flush).
@@ -442,9 +444,9 @@ mod tests {
         let mut b = btb();
         b.insert(entry(0x10, 0x99), false);
         b.insert(entry(0x14, 0x88), true);
-        let log = b.drain_insertions();
+        let log: Vec<_> = b.drain_insertions().collect();
         assert_eq!(log, vec![entry(0x10, 0x99)]);
-        assert!(b.drain_insertions().is_empty(), "drain consumes");
+        assert_eq!(b.drain_insertions().count(), 0, "drain consumes");
     }
 
     #[test]
@@ -453,7 +455,7 @@ mod tests {
         b.insert(entry(0x10, 0x99), false);
         b.drain_insertions();
         b.insert(entry(0x10, 0xaa), false);
-        assert!(b.drain_insertions().is_empty());
+        assert_eq!(b.drain_insertions().count(), 0);
         assert_eq!(b.probe(Addr::new(0x10)).unwrap().target, Addr::new(0xaa));
         assert_eq!(b.stats().insertions, 1);
     }

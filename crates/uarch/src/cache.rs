@@ -142,8 +142,13 @@ pub struct SetAssocCache {
     /// letting [`SetAssocCache::set_of`] mask instead of divide;
     /// `u64::MAX` otherwise.
     set_mask: u64,
+    /// `log2(line_bytes)`: line numbers are a shift, not a division.
+    line_shift: u32,
     lines: Vec<Line>,
     clock: u64,
+    /// Valid lines with `restored && !touched`, kept up to date by every
+    /// operation that changes either bit.
+    unused_restored: u64,
     stats: CacheStats,
 }
 
@@ -159,8 +164,10 @@ impl SetAssocCache {
             geometry,
             sets,
             set_mask: if sets.is_power_of_two() { sets as u64 - 1 } else { u64::MAX },
+            line_shift: geometry.line_bytes.trailing_zeros(),
             lines: vec![Line::default(); sets * geometry.ways],
             clock: 0,
+            unused_restored: 0,
             stats: CacheStats::default(),
         }
     }
@@ -182,7 +189,7 @@ impl SetAssocCache {
 
     #[inline]
     fn line_number(&self, addr: Addr) -> u64 {
-        addr.as_u64() / self.geometry.line_bytes
+        addr.as_u64() >> self.line_shift
     }
 
     #[inline]
@@ -228,6 +235,9 @@ impl SetAssocCache {
             Some(i) => {
                 let line = &mut self.lines[i];
                 line.lru_stamp = self.clock;
+                if line.restored && !line.touched {
+                    self.unused_restored -= 1;
+                }
                 let was_prefetched = line.prefetched;
                 if line.prefetched {
                     self.stats.prefetch_hits += 1;
@@ -264,6 +274,9 @@ impl SetAssocCache {
             let line = &mut self.lines[i];
             line.lru_stamp = self.clock;
             if kind == FillKind::Demand {
+                if line.restored && !line.touched {
+                    self.unused_restored -= 1;
+                }
                 line.prefetched = false;
                 line.touched = true;
             }
@@ -294,16 +307,20 @@ impl SetAssocCache {
                 self.stats.unused_prefetch_evictions += 1;
                 if old.restored {
                     self.stats.unused_restore_evictions += 1;
+                    self.unused_restored -= 1;
                 }
             }
             Some(Evicted {
-                addr: Addr::new(old.line_number * self.geometry.line_bytes),
+                addr: Addr::new(old.line_number << self.line_shift),
                 was_unused_prefetch: unused,
                 was_restored: old.restored,
             })
         } else {
             None
         };
+        if kind == FillKind::Restore {
+            self.unused_restored += 1;
+        }
         self.lines[victim] = Line {
             line_number: ln,
             valid: true,
@@ -330,6 +347,7 @@ impl SetAssocCache {
             }
             *line = Line::default();
         }
+        self.unused_restored = 0;
         report
     }
 
@@ -339,15 +357,17 @@ impl SetAssocCache {
     }
 
     /// Resident lines installed by Ignite's replay and never demanded yet
-    /// (end-of-invocation overprediction accounting).
+    /// (end-of-invocation overprediction accounting). Maintained
+    /// incrementally, so this is O(1).
     pub fn unused_restored_resident(&self) -> u64 {
-        self.lines.iter().filter(|l| l.valid && l.restored && !l.touched).count() as u64
+        self.unused_restored
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> SetAssocCache {
         // 2 sets x 2 ways x 64 B = 256 B.
@@ -473,6 +493,44 @@ mod tests {
         c.fill(d, FillKind::Demand);
         assert!(c.probe(a), "refreshed line must survive");
         assert!(!c.probe(b));
+    }
+
+    /// The full scan the incremental count replaces.
+    fn scan_unused_restored(c: &SetAssocCache) -> u64 {
+        c.lines.iter().filter(|l| l.valid && l.restored && !l.touched).count() as u64
+    }
+
+    proptest! {
+        #[test]
+        fn incremental_unused_restored_count_matches_a_scan(
+            ops in prop::collection::vec((0u8..21, 0u64..24), 1..400)
+        ) {
+            // 4 sets x 2 ways over 24 distinct lines: constant conflict
+            // evictions, re-fills of resident lines and first touches.
+            let mut c =
+                SetAssocCache::new(CacheGeometry { size_bytes: 512, ways: 2, line_bytes: 64 });
+            for (op, line) in ops {
+                let a = Addr::new(line * 64 + op as u64);
+                match op {
+                    0..=4 => {
+                        c.lookup_hit(a);
+                    }
+                    5..=9 => {
+                        c.fill(a, FillKind::Demand);
+                    }
+                    10..=14 => {
+                        c.fill(a, FillKind::Prefetch);
+                    }
+                    15..=19 => {
+                        c.fill(a, FillKind::Restore);
+                    }
+                    _ => {
+                        c.invalidate_all();
+                    }
+                }
+                prop_assert_eq!(c.unused_restored_resident(), scan_unused_restored(&c));
+            }
+        }
     }
 
     #[test]

@@ -59,30 +59,48 @@ struct TageEntry {
 }
 
 /// Cyclically folded history register (Seznec's CSR construction).
+///
+/// The shift at which the bit leaving the window re-enters the fold
+/// (`orig_len % comp_len`) and the width mask are fixed by the geometry,
+/// so they are computed once here rather than on every push.
 #[derive(Debug, Clone, Copy)]
 struct Folded {
     comp: u64,
     comp_len: u32,
-    orig_len: u32,
+    out_shift: u32,
+    mask: u64,
 }
 
 impl Folded {
     fn new(orig_len: u32, comp_len: u32) -> Self {
-        Folded { comp: 0, comp_len: comp_len.max(1), orig_len }
+        let comp_len = comp_len.max(1);
+        Folded { comp: 0, comp_len, out_shift: orig_len % comp_len, mask: (1u64 << comp_len) - 1 }
     }
 
     /// Shifts in `new_bit` and removes `old_bit` (the bit leaving the
     /// `orig_len`-bit window).
+    #[inline]
     fn update(&mut self, new_bit: u64, old_bit: u64) {
         self.comp = (self.comp << 1) | new_bit;
-        self.comp ^= old_bit << (self.orig_len % self.comp_len);
+        self.comp ^= old_bit << self.out_shift;
         self.comp ^= self.comp >> self.comp_len;
-        self.comp &= (1u64 << self.comp_len) - 1;
+        self.comp &= self.mask;
     }
 
     fn value(&self) -> u64 {
         self.comp
     }
+}
+
+/// The three folded registers of one tagged table, plus where the bit
+/// leaving that table's history window sits in the ring.
+#[derive(Debug, Clone, Copy)]
+struct TableFolds {
+    index: Folded,
+    tag: [Folded; 2],
+    /// Ring offset, relative to the write cursor, of the table's oldest
+    /// windowed bit (see [`History::offset_of`]).
+    out_offset: usize,
 }
 
 /// Taken-only global history ring buffer.
@@ -97,15 +115,28 @@ impl History {
         History { bits: vec![0; capacity.max(1)], pos: 0 }
     }
 
-    /// The i-th most recent bit (0 = newest).
-    fn bit(&self, i: usize) -> u64 {
+    /// The ring offset, relative to the write cursor, of the i-th most
+    /// recent bit (0 = newest): `bit_at(offset_of(i))` is that bit.
+    fn offset_of(&self, i: usize) -> usize {
         let n = self.bits.len();
-        self.bits[(self.pos + n - 1 - (i % n)) % n] as u64
+        n - 1 - (i % n)
     }
 
+    /// The bit `offset` slots past the write cursor, wrapping once.
+    #[inline]
+    fn bit_at(&self, offset: usize) -> u64 {
+        let j = self.pos + offset;
+        let j = if j >= self.bits.len() { j - self.bits.len() } else { j };
+        self.bits[j] as u64
+    }
+
+    #[inline]
     fn push(&mut self, bit: u64) {
         self.bits[self.pos] = bit as u8;
-        self.pos = (self.pos + 1) % self.bits.len();
+        self.pos += 1;
+        if self.pos == self.bits.len() {
+            self.pos = 0;
+        }
     }
 
     fn clear(&mut self) {
@@ -118,13 +149,15 @@ impl History {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagePrediction {
     /// Table index of the hit with the longest history, if any.
-    provider: Option<usize>,
+    provider: Option<u8>,
     /// Direction from the provider (meaningless if `provider` is `None`).
     provider_pred: bool,
     /// Alternate prediction: next-longest hit, if any.
     alt: Option<bool>,
-    /// Per-table indices computed at prediction time.
-    indices: [usize; Tage::MAX_TABLES],
+    /// Per-table indices computed at prediction time (`Tage::new` bounds
+    /// table sizes so they fit; narrow indices keep this struct, which
+    /// rides in every queued block, small).
+    indices: [u16; Tage::MAX_TABLES],
     /// Per-table tags computed at prediction time.
     tags: [u16; Tage::MAX_TABLES],
     /// The provider entry was weak (newly allocated).
@@ -173,9 +206,9 @@ pub struct Tage {
     cfg: TageConfig,
     tables: Vec<Vec<TageEntry>>,
     history: History,
-    folded_index: Vec<Folded>,
-    folded_tag: [Vec<Folded>; 2],
-    update_count: u64,
+    folds: Vec<TableFolds>,
+    /// Updates left until the next usefulness decay.
+    updates_to_u_reset: u64,
     rng: SplitMix64,
     allocations: u64,
     tagged_hits: u64,
@@ -191,28 +224,36 @@ impl Tage {
     /// # Panics
     ///
     /// Panics if the configuration is degenerate: zero tables, more than
-    /// [`Tage::MAX_TABLES`] tables, a non-power-of-two table size, or
-    /// `min_history > max_history`.
+    /// [`Tage::MAX_TABLES`] tables, a non-power-of-two table size, more
+    /// than 2^16 entries per table, or `min_history > max_history`.
     pub fn new(cfg: &TageConfig) -> Self {
         assert!(cfg.tables > 0 && cfg.tables <= Self::MAX_TABLES, "1..=16 tables supported");
         assert!(cfg.entries_per_table.is_power_of_two(), "table size must be a power of two");
+        assert!(cfg.entries_per_table <= 1 << 16, "at most 2^16 entries per table supported");
         assert!(cfg.min_history <= cfg.max_history, "min history exceeds max");
         let index_bits = cfg.entries_per_table.trailing_zeros();
-        let folded_index =
-            (0..cfg.tables).map(|i| Folded::new(cfg.history_length(i), index_bits)).collect();
-        let folded_tag = [
-            (0..cfg.tables).map(|i| Folded::new(cfg.history_length(i), cfg.tag_bits)).collect(),
-            (0..cfg.tables)
-                .map(|i| Folded::new(cfg.history_length(i), cfg.tag_bits.saturating_sub(1).max(1)))
-                .collect(),
-        ];
+        let history = History::new(cfg.max_history as usize);
+        let folds = (0..cfg.tables)
+            .map(|i| {
+                let len = cfg.history_length(i);
+                TableFolds {
+                    index: Folded::new(len, index_bits),
+                    tag: [
+                        Folded::new(len, cfg.tag_bits),
+                        Folded::new(len, cfg.tag_bits.saturating_sub(1).max(1)),
+                    ],
+                    // The bit falling out of the window is the one at index
+                    // len - 1 *before* the push.
+                    out_offset: history.offset_of((len as usize).wrapping_sub(1)),
+                }
+            })
+            .collect();
         Tage {
             cfg: *cfg,
             tables: vec![vec![TageEntry::default(); cfg.entries_per_table]; cfg.tables],
-            history: History::new(cfg.max_history as usize),
-            folded_index,
-            folded_tag,
-            update_count: 0,
+            history,
+            folds,
+            updates_to_u_reset: cfg.u_reset_period,
             rng: SplitMix64::new(0x7A6E_5EED),
             allocations: 0,
             tagged_hits: 0,
@@ -245,21 +286,21 @@ impl Tage {
         let mask = self.cfg.entries_per_table as u64 - 1;
         let h = pcv
             ^ (pcv >> (self.cfg.entries_per_table.trailing_zeros() as u64 + table as u64 + 1))
-            ^ self.folded_index[table].value();
+            ^ self.folds[table].index.value();
         (h & mask) as usize
     }
 
     fn tag(&self, table: usize, pc: Addr) -> u16 {
         let pcv = pc.as_u64();
         let mask = (1u64 << self.cfg.tag_bits) - 1;
-        ((pcv ^ self.folded_tag[0][table].value() ^ (self.folded_tag[1][table].value() << 1))
-            & mask) as u16
+        let [t0, t1] = &self.folds[table].tag;
+        ((pcv ^ t0.value() ^ (t1.value() << 1)) & mask) as u16
     }
 
     /// Computes the prediction for `pc`.
     pub fn predict(&mut self, pc: Addr) -> TagePrediction {
         self.predictions += 1;
-        let mut indices = [0usize; Self::MAX_TABLES];
+        let mut indices = [0u16; Self::MAX_TABLES];
         let mut tags = [0u16; Self::MAX_TABLES];
         let mut provider = None;
         let mut provider_pred = false;
@@ -267,14 +308,14 @@ impl Tage {
         let mut alt = None;
         // Scan from longest history (highest table) down.
         for t in (0..self.cfg.tables).rev() {
-            indices[t] = self.index(t, pc);
+            indices[t] = self.index(t, pc) as u16;
             tags[t] = self.tag(t, pc);
         }
         for t in (0..self.cfg.tables).rev() {
-            let e = &self.tables[t][indices[t]];
+            let e = &self.tables[t][usize::from(indices[t])];
             if e.valid && e.tag == tags[t] {
                 if provider.is_none() {
-                    provider = Some(t);
+                    provider = Some(t as u8);
                     provider_pred = e.ctr >= 0;
                     weak_provider = e.useful == 0 && (e.ctr == 0 || e.ctr == -1);
                 } else {
@@ -303,19 +344,23 @@ impl Tage {
         mispredicted: bool,
         alt_pred: bool,
     ) {
-        self.update_count += 1;
-        // Periodic graceful decay of usefulness counters.
-        if self.cfg.u_reset_period > 0 && self.update_count.is_multiple_of(self.cfg.u_reset_period)
-        {
-            for table in &mut self.tables {
-                for e in table.iter_mut() {
-                    e.useful >>= 1;
+        // Periodic graceful decay of usefulness counters, every
+        // `u_reset_period` updates (a countdown instead of a modulus).
+        if self.cfg.u_reset_period > 0 {
+            self.updates_to_u_reset -= 1;
+            if self.updates_to_u_reset == 0 {
+                self.updates_to_u_reset = self.cfg.u_reset_period;
+                for table in &mut self.tables {
+                    for e in table.iter_mut() {
+                        e.useful >>= 1;
+                    }
                 }
             }
         }
-        if let Some(p) = pred.provider {
+        let provider = pred.provider.map(usize::from);
+        if let Some(p) = provider {
             let correct = pred.provider_pred == taken;
-            let e = &mut self.tables[p][pred.indices[p]];
+            let e = &mut self.tables[p][usize::from(pred.indices[p])];
             e.ctr = if taken { (e.ctr + 1).min(3) } else { (e.ctr - 1).max(-4) };
             // Usefulness trains only when provider and alternate disagree.
             if pred.provider_pred != alt_pred {
@@ -328,7 +373,7 @@ impl Tage {
         }
         // Allocate on misprediction in a table with longer history.
         if mispredicted {
-            let start = pred.provider.map_or(0, |p| p + 1);
+            let start = provider.map_or(0, |p| p + 1);
             if start < self.cfg.tables {
                 // Choose randomly among allocatable (u == 0) candidates,
                 // biased toward shorter histories as in Seznec's TAGE.
@@ -339,7 +384,7 @@ impl Tage {
                     t += 1;
                 }
                 while t < self.cfg.tables {
-                    let idx = pred.indices[t];
+                    let idx = usize::from(pred.indices[t]);
                     if self.tables[t][idx].useful == 0 {
                         self.tables[t][idx] = TageEntry {
                             tag: pred.tags[t],
@@ -356,8 +401,7 @@ impl Tage {
                 if !allocated {
                     // Decay usefulness so future allocations can succeed.
                     for t in start..self.cfg.tables {
-                        let idx = pred.indices[t];
-                        let e = &mut self.tables[t][idx];
+                        let e = &mut self.tables[t][usize::from(pred.indices[t])];
                         e.useful = e.useful.saturating_sub(1);
                     }
                 }
@@ -371,15 +415,11 @@ impl Tage {
     /// leave the history untouched.
     pub fn push_history(&mut self, pc: Addr, target: Addr) {
         let bit = (pc.as_u64() >> 2 ^ target.as_u64() >> 3) & 1;
-        // The bit falling out of each folded window is the one at index
-        // orig_len - 1 *before* the push. Each folded register carries its
-        // window length, so the geometric series needs no recomputation.
-        for t in 0..self.cfg.tables {
-            let olen = self.folded_index[t].orig_len as usize;
-            let old = self.history.bit(olen - 1);
-            self.folded_index[t].update(bit, old);
-            self.folded_tag[0][t].update(bit, old);
-            self.folded_tag[1][t].update(bit, old);
+        for f in &mut self.folds {
+            let old = self.history.bit_at(f.out_offset);
+            f.index.update(bit, old);
+            f.tag[0].update(bit, old);
+            f.tag[1].update(bit, old);
         }
         self.history.push(bit);
     }
@@ -390,15 +430,12 @@ impl Tage {
             table.fill(TageEntry::default());
         }
         self.history.clear();
-        for f in &mut self.folded_index {
-            f.comp = 0;
+        for f in &mut self.folds {
+            f.index.comp = 0;
+            f.tag[0].comp = 0;
+            f.tag[1].comp = 0;
         }
-        for side in &mut self.folded_tag {
-            for f in side.iter_mut() {
-                f.comp = 0;
-            }
-        }
-        self.update_count = 0;
+        self.updates_to_u_reset = self.cfg.u_reset_period;
     }
 
     /// Clears statistics, keeping predictor state.
@@ -553,6 +590,110 @@ mod tests {
     fn rejects_non_power_of_two_tables() {
         let mut cfg = config();
         cfg.entries_per_table = 1000;
+        Tage::new(&cfg);
+    }
+
+    /// The folded register as written with a per-push modulus, the
+    /// reference the precomputed shift and mask must reproduce.
+    #[derive(Debug, Clone, Copy)]
+    struct TextbookFolded {
+        comp: u64,
+        comp_len: u32,
+        orig_len: u32,
+    }
+
+    impl TextbookFolded {
+        fn update(&mut self, new_bit: u64, old_bit: u64) {
+            self.comp = (self.comp << 1) | new_bit;
+            self.comp ^= old_bit << (self.orig_len % self.comp_len);
+            self.comp ^= self.comp >> self.comp_len;
+            self.comp &= (1u64 << self.comp_len) - 1;
+        }
+    }
+
+    /// The i-th most recent ring bit, indexed with two `%`s.
+    fn textbook_bit(h: &History, i: usize) -> u64 {
+        let n = h.bits.len();
+        h.bits[(h.pos + n - 1 - (i % n)) % n] as u64
+    }
+
+    #[test]
+    fn division_free_history_matches_textbook_modulus() {
+        use crate::config::UarchConfig;
+        for cfg in [UarchConfig::ice_lake_like().cbp.tage, UarchConfig::tiny_for_tests().cbp.tage] {
+            let n = cfg.max_history as usize;
+            assert_eq!(
+                cfg.history_length(cfg.tables - 1) as usize,
+                n,
+                "the longest window spans the whole ring"
+            );
+            let mut tage = Tage::new(&cfg);
+            let index_bits = cfg.entries_per_table.trailing_zeros();
+            let mut folds: Vec<[TextbookFolded; 3]> = (0..cfg.tables)
+                .map(|t| {
+                    let orig_len = cfg.history_length(t);
+                    [index_bits, cfg.tag_bits, cfg.tag_bits.saturating_sub(1).max(1)]
+                        .map(|comp_len| TextbookFolded { comp: 0, comp_len, orig_len })
+                })
+                .collect();
+            let mut ring = History { bits: vec![0; n], pos: 0 };
+            let mut rng = SplitMix64::new(cfg.max_history.into());
+            for _ in 0..3 * n + 17 {
+                let (pc, target) = (rng.next_u64() & 0xffff_fffc, rng.next_u64() & 0xffff_fff8);
+                let bit = (pc >> 2 ^ target >> 3) & 1;
+                for f in &mut folds {
+                    let old = textbook_bit(&ring, f[0].orig_len as usize - 1);
+                    f.iter_mut().for_each(|r| r.update(bit, old));
+                }
+                ring.bits[ring.pos] = bit as u8;
+                ring.pos = (ring.pos + 1) % n;
+                tage.push_history(Addr::new(pc), Addr::new(target));
+
+                assert_eq!((&tage.history.bits, tage.history.pos), (&ring.bits, ring.pos));
+                for (got, want) in tage.folds.iter().zip(&folds) {
+                    let got = [got.index.comp, got.tag[0].comp, got.tag[1].comp];
+                    assert_eq!(got, want.map(|r| r.comp));
+                }
+                for i in 0..2 * n {
+                    let h = &tage.history;
+                    assert_eq!(h.bit_at(h.offset_of(i)), textbook_bit(h, i), "bit {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn usefulness_decays_on_every_multiple_of_the_reset_period() {
+        for period in [1u64, 3, 7] {
+            let mut t = Tage::new(&TageConfig { u_reset_period: period, ..config() });
+            t.tables[0][0].useful = 3;
+            let p = t.predict(Addr::new(0x40));
+            let mut decays = Vec::new();
+            for update in 1..=3 * period {
+                let before = t.tables[0][0].useful;
+                t.update(Addr::new(0x40), true, &p, false, false);
+                if t.tables[0][0].useful != before {
+                    decays.push(update);
+                }
+            }
+            // 3 -> 1 -> 0, then nothing left to halve.
+            assert_eq!(decays, [period, 2 * period], "period {period}");
+            t.flush();
+            t.tables[0][0].useful = 2;
+            for _ in 0..period - 1 {
+                t.update(Addr::new(0x40), true, &p, false, false);
+            }
+            assert_eq!(t.tables[0][0].useful, 2, "flush restarts the period");
+            t.update(Addr::new(0x40), true, &p, false, false);
+            assert_eq!(t.tables[0][0].useful, 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2^16 entries")]
+    fn rejects_tables_too_large_for_compact_indices() {
+        let mut cfg = config();
+        cfg.entries_per_table = 1 << 17;
         Tage::new(&cfg);
     }
 
