@@ -1,6 +1,6 @@
 //! Cluster-layer integration gates: golden report fingerprint, cross-
-//! process determinism, capacity-sweep monotonicity, and trace replay
-//! equivalence.
+//! process determinism, capacity-sweep monotonicity and exactness, and
+//! trace replay equivalence.
 //!
 //! The golden snapshot is the full `ignite-cluster-v1` JSON report of a
 //! fixed small configuration, byte-compared against
@@ -13,7 +13,11 @@
 
 use std::path::PathBuf;
 
-use ignite_cluster::{sweep_capacities, ClusterConfig, ClusterReport, ClusterSim};
+use ignite_chaos::ChaosPlan;
+use ignite_cluster::{
+    sweep_capacities, ClusterConfig, ClusterReport, ClusterSim, KeepAliveKind, SchedulerKind,
+    Topology,
+};
 
 /// The pinned golden configuration: 4 cores, the full 20-function suite,
 /// Zipf(1.0) Poisson arrivals, a bounded LRU store. Small enough for CI,
@@ -148,6 +152,91 @@ fn capacity_sweep_degrades_gracefully() {
         "losing metadata must cost latency: tight {} <= roomy {}",
         tight.mean_latency,
         roomy.mean_latency
+    );
+}
+
+/// The sweep's short-circuit (capacities at or above the largest
+/// capacity's peak footprint reuse its outcome) is exact: every point
+/// equals an independent run at that capacity. The list is unordered,
+/// repeats a capacity, and straddles the reused peak.
+fn assert_sweep_matches_independent_runs(cfg: &ClusterConfig) {
+    let at = |capacity: usize| {
+        let mut point = cfg.clone();
+        point.store.capacity_bytes = capacity;
+        ClusterSim::new(point).run()
+    };
+    let roomy = 1 << 20;
+    let top = at(roomy);
+    assert_eq!(top.store.evictions + top.store.rejected, 0, "the roomy point must never evict");
+    let peak = top.nodes.iter().map(|n| n.peak_footprint_bytes).max().expect("one node");
+    assert!(peak > 2 * 1024, "the run must record enough metadata to straddle ({peak})");
+    let capacities = [peak, 2 * 1024, roomy, peak - 1, peak + 1, peak];
+    let swept = sweep_capacities(cfg, &capacities, 2);
+    assert_eq!(swept.len(), capacities.len());
+    for (&capacity, got) in capacities.iter().zip(swept) {
+        let got = got.expect("sweep point must not panic");
+        assert_eq!(got, at(capacity), "capacity {capacity} diverged from an independent run");
+    }
+    assert!(sweep_capacities(cfg, &[], 2).is_empty());
+}
+
+#[test]
+fn sweep_matches_independent_runs_on_the_default_config() {
+    assert_sweep_matches_independent_runs(&golden_cfg());
+}
+
+#[test]
+fn sweep_matches_independent_runs_on_two_nodes_with_hybrid_keepalive() {
+    let mut cfg = golden_cfg();
+    cfg.topology = Topology {
+        nodes: 2,
+        scheduler: SchedulerKind::LeastLoaded,
+        keepalive: KeepAliveKind::Hybrid { default_window_cycles: 50_000 },
+    };
+    assert_sweep_matches_independent_runs(&cfg);
+}
+
+#[test]
+fn sweep_matches_independent_runs_under_default_chaos() {
+    let mut cfg = golden_cfg();
+    cfg.chaos = Some(ChaosPlan::default_preset().seeded(7));
+    assert_sweep_matches_independent_runs(&cfg);
+}
+
+/// A panicking point reports its own index in the caller's list, the
+/// largest (first-run) capacity included.
+#[test]
+fn sweep_failures_carry_the_callers_point_index() {
+    let cfg = ClusterConfig { cores: 0, ..golden_cfg() };
+    let swept = sweep_capacities(&cfg, &[4096, 1 << 20, 2048], 2);
+    for (i, r) in swept.into_iter().enumerate() {
+        assert_eq!(r.expect_err("zero cores must panic").index, i);
+    }
+}
+
+/// Spawns the cluster binary on a capacity sweep and returns stdout.
+fn sweep_stdout(jobs: &str) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
+        .args(["--horizon", "600000", "--sweep", "2048,8192,65536", "--jobs", jobs])
+        .output()
+        .expect("spawn cluster binary");
+    assert!(
+        out.status.success(),
+        "cluster --jobs {jobs} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 sweep output")
+}
+
+/// Cross-process `--jobs` pinning: the panic-isolated fanout must merge
+/// sweep points in index order, so a 4-worker sweep prints the same
+/// bytes as a serial one.
+#[test]
+fn sweep_output_is_byte_identical_across_job_counts() {
+    assert_eq!(
+        sweep_stdout("1"),
+        sweep_stdout("4"),
+        "--jobs 4 sweep output diverged from --jobs 1"
     );
 }
 
