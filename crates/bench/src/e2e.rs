@@ -12,7 +12,7 @@
 
 use std::rc::Rc;
 
-use ignite_cluster::{ClusterConfig, ClusterSim};
+use ignite_cluster::{ClusterConfig, ClusterSim, StaticPolicy};
 use ignite_engine::config::FrontEndConfig;
 use ignite_engine::machine::PreparedFunction;
 use ignite_engine::protocol::{run_function, RunOptions};
@@ -120,7 +120,8 @@ fn cluster_obs_bench(mode: Mode) -> Bench {
         cpi: Some(first.cpi()),
         run: Box::new(move || {
             let mut buf = ignite_obs::TraceBuffer::new(1 << 18);
-            let r = sim.run_obs(&mut buf).total_result();
+            let source = &mut sim.config().arrival.source();
+            let r = sim.run_source_policy_obs(source, &mut buf, &mut StaticPolicy).total_result();
             // Keep the buffer alive through the run; its length depends on
             // the trace and must not be optimized away.
             assert!(!buf.is_empty());

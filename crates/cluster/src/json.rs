@@ -7,7 +7,8 @@
 //! recursive-descent reader for the subset of JSON the reports use
 //! (objects, arrays, strings with simple escapes, numbers, booleans,
 //! null). It is intentionally strict: malformed input returns an error,
-//! never panics.
+//! never panics. Nesting is capped at 64 levels, so a hostile document
+//! cannot exhaust the stack.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,9 +103,14 @@ pub fn number(x: f64) -> String {
     }
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse`] accepts. The workspace's own
+/// reports nest about five levels deep.
+const MAX_DEPTH: usize = 64;
+
+/// Parses a JSON document. Input nested deeper than 64 levels is an
+/// error naming the byte offset where the limit was hit.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -117,6 +123,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -155,8 +163,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -164,6 +172,18 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.num(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -295,6 +315,25 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let deep_arrays = "[".repeat(100_000);
+        let err = parse(&deep_arrays).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte 64"));
+        let deep_objects = r#"{"a":"#.repeat(100_000);
+        let err = parse(&deep_objects).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 64 levels at byte "), "{err}");
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
     }
 
     #[test]

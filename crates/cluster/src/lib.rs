@@ -31,7 +31,7 @@
 //!   latency, core utilization, metadata hit rate and footprint, emitted
 //!   as a versioned JSON report (schema [`report::CLUSTER_SCHEMA`]);
 //! * observability: every DES transition reported to an
-//!   [`ignite_obs::EventSink`] ([`sim::ClusterSim::run_trace_obs`]),
+//!   [`ignite_obs::EventSink`] ([`sim::ClusterSim::run_source_policy_obs`]),
 //!   exportable as a validated Chrome trace ([`tracecheck`]) and as
 //!   deterministic Prometheus-style metrics ([`prom`]);
 //! * failure injection and recovery ([`ignite_chaos`]): seeded core
@@ -43,10 +43,18 @@
 //!   validator-enforced invocation conservation law; with chaos off
 //!   every output is byte-identical to the failure-free simulator.
 //!
+//! Every run goes through one event loop with three entry points:
+//! [`ClusterSim::run`] serves the configured Poisson/Zipf process,
+//! [`ClusterSim::run_source`] serves any streaming
+//! [`ignite_workloads::arrival::ArrivalSource`] (a replayed trace, a
+//! shaped `--traffic` workload), and [`ClusterSim::run_source_policy_obs`]
+//! adds an event sink and a policy hook.
+//!
 //! Everything is bit-deterministic for a fixed seed, across thread counts
 //! and processes: the event loop breaks ties by (completion before
-//! arrival, core index), the store iterates `BTreeMap`s, and the report
-//! serializes floats with shortest round-trip formatting.
+//! expired retry before arrival, core index), the store iterates
+//! `BTreeMap`s, and the report serializes floats with shortest
+//! round-trip formatting.
 
 pub mod fanout;
 pub mod json;

@@ -1,11 +1,22 @@
 //! The discrete-event cluster simulation proper.
 //!
-//! Two event sources drive the loop: trace arrivals and core completions.
-//! Invocations queue FIFO; a free core with the lowest index takes the
-//! head of the queue. At equal timestamps, completions are processed
-//! before arrivals (a core freed at cycle `t` can serve a request arriving
-//! at `t`), and cores free in index order — every tie-break is total, so a
-//! fixed (seed, config) reproduces the run bit-exactly in any process.
+//! Every run is one private `ClusterState` stepped until no event is
+//! left; [`ClusterSim::run`], [`ClusterSim::run_source`] and
+//! [`ClusterSim::run_source_policy_obs`] all drive that one loop. Five
+//! event sources advance it: trace arrivals, core completions, crash
+//! restarts (a crashed core held until repair, or queued work waiting on
+//! one), expired retry backoffs, and policy epochs (evaluated at the first
+//! event time at or past each epoch boundary). Invocations queue FIFO per
+//! node; a free core with the lowest index takes the head of the queue.
+//!
+//! One step handles one event time, always in the same order: the policy
+//! epoch (when due), then every node's dispatch (nodes in index order),
+//! then the clock moves to the next event time, where completions free
+//! their cores (in core index order), then expired retries re-enter their
+//! node's queue (in (ready cycle, job id) order), then arrivals at that
+//! cycle are admitted in stream order. So a core freed at cycle `t` can
+//! serve a request arriving at `t`, and every tie-break is total: a fixed
+//! (seed, config) reproduces the run bit-exactly in any process.
 //!
 //! Each core owns a persistent [`Machine`] that is **never flushed**:
 //! whatever function ran last left its code in the caches and its branches
@@ -26,7 +37,7 @@ use ignite_engine::sim::{run_invocation_obs, InvocationCtx};
 use ignite_obs::{DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Track};
 use ignite_traffic::{FingerprintAccum, WorkloadFingerprint};
 use ignite_uarch::UarchConfig;
-use ignite_workloads::arrival::{Arrival, ArrivalConfig, ArrivalSource, Trace, TraceSource};
+use ignite_workloads::arrival::{Arrival, ArrivalConfig, ArrivalSource};
 use ignite_workloads::suite::Suite;
 
 use crate::fanout::{self, PanicFailure};
@@ -318,7 +329,7 @@ pub struct CoreUsage {
 }
 
 /// Aggregated measurements for one suite function.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FunctionSummary {
     /// Table-1 abbreviation.
     pub abbr: String,
@@ -503,29 +514,69 @@ struct Core {
     seq: u64,
     /// Function index → `seq` at its last dispatch here.
     last_seq: BTreeMap<usize, u64>,
-    busy_cycles: u64,
-    invocations: u64,
+    /// Invocations and busy cycles so far (utilization is set at the end).
+    usage: CoreUsage,
 }
 
+impl Core {
+    fn new(sim: &ClusterSim) -> Self {
+        Core {
+            machine: Machine::new(&sim.uarch, &sim.cfg.fe),
+            busy_until: 0,
+            busy: false,
+            seq: 0,
+            last_seq: BTreeMap::new(),
+            usage: CoreUsage::default(),
+        }
+    }
+
+    /// Records a dispatch of function `fi` and returns its data-cold
+    /// fraction. Interleaving distance d counts the invocations of
+    /// *other* functions on this core since `fi` last ran here; d = 0
+    /// (back-to-back) is fully warm, and coldness saturates at
+    /// `saturation`.
+    fn touch(&mut self, fi: usize, saturation: f64) -> f64 {
+        let cold = match self.last_seq.get(&fi) {
+            None => 1.0,
+            Some(&s) => {
+                let d = (self.seq - s - 1) as f64;
+                (d / saturation.max(1.0)).min(1.0)
+            }
+        };
+        self.last_seq.insert(fi, self.seq);
+        self.seq += 1;
+        cold
+    }
+}
+
+#[derive(Default)]
 struct FunctionState {
-    abbr: String,
+    /// The counters reported as they are (`min_service` starts at
+    /// `u64::MAX`); the latency-derived fields are set at the end.
+    summary: FunctionSummary,
     latencies: Vec<u64>,
     service_cycles: u64,
     queue_cycles: u64,
     cold_sum: f64,
-    hits: u64,
-    misses: u64,
-    retries: u64,
-    degraded: u64,
-    dropped: u64,
-    cold_starts: u64,
-    lukewarm_starts: u64,
-    warm_starts: u64,
-    min_service: u64,
     /// Global invocation counter (seeds the trace walker, so control flow
     /// drifts across invocations like the per-function protocol's does).
     count: u64,
-    result: InvocationResult,
+}
+
+/// One node's dispatch state: its metadata store, its FIFO queue and
+/// its ledger (`submitted`, `completed`, `dropped`, `queue_peak`; the
+/// rest is set at the end).
+struct Node {
+    store: MetadataStore,
+    queue: VecDeque<Job>,
+    usage: NodeUsage,
+}
+
+impl Node {
+    fn enqueue(&mut self, job: Job) {
+        self.queue.push_back(job);
+        self.usage.queue_peak = self.usage.queue_peak.max(self.queue.len() as u64);
+    }
 }
 
 /// One invocation's scheduler state, carried across attempts. Without
@@ -565,81 +616,6 @@ struct ChaosRt {
     stats: ChaosStats,
 }
 
-impl ChaosRt {
-    /// Routes a failed attempt: bounded retry with deterministic
-    /// backoff, or a reasoned drop (retries exhausted, or the backoff
-    /// would land past the deadline). `elapsed` is how long the failed
-    /// attempt held resources (0 for a dispatch drop).
-    fn fail_attempt<S: EventSink>(
-        &mut self,
-        mut job: Job,
-        fail_at: u64,
-        elapsed: u64,
-        fstate: &mut FunctionState,
-        node_dropped: &mut [u64],
-        sink: &mut S,
-    ) {
-        self.stats.attempts_failed += 1;
-        if job.attempt >= self.retry.max_attempts {
-            self.drop_job(&job, fail_at, DropReason::RetriesExhausted, fstate, node_dropped, sink);
-            return;
-        }
-        let seed = self.state.plan().seed;
-        let backoff = self.retry.backoff_for(seed, job.id, job.attempt);
-        let ready = fail_at.saturating_add(backoff);
-        let deadline = self.retry.deadline_cycles;
-        if deadline > 0 && ready.saturating_sub(job.arrival.cycle) > deadline {
-            self.drop_job(&job, fail_at, DropReason::Deadline, fstate, node_dropped, sink);
-            return;
-        }
-        self.stats.backoff_cycles += backoff;
-        fstate.retries += 1;
-        if sink.enabled() {
-            sink.record(Event {
-                ts: fail_at,
-                dur: 0,
-                track: Track::Chaos,
-                kind: EventKind::ChaosRetry {
-                    function: job.arrival.function,
-                    attempt: job.attempt,
-                    backoff_cycles: backoff,
-                },
-            });
-        }
-        job.lost_cycles += elapsed + backoff;
-        job.attempt += 1;
-        job.enqueued_at = ready;
-        self.ready.insert((ready, job.id), job);
-    }
-
-    /// Terminal failure exit: the job leaves the system with a reason
-    /// (the only alternative to completion under the conservation law).
-    fn drop_job<S: EventSink>(
-        &mut self,
-        job: &Job,
-        at: u64,
-        reason: DropReason,
-        fstate: &mut FunctionState,
-        node_dropped: &mut [u64],
-        sink: &mut S,
-    ) {
-        match reason {
-            DropReason::Deadline => self.stats.dropped_deadline += 1,
-            DropReason::RetriesExhausted => self.stats.dropped_retries_exhausted += 1,
-        }
-        fstate.dropped += 1;
-        node_dropped[job.node] += 1;
-        if sink.enabled() {
-            sink.record(Event {
-                ts: at,
-                dur: 0,
-                track: Track::Chaos,
-                kind: EventKind::ChaosDrop { function: job.arrival.function, reason },
-            });
-        }
-    }
-}
-
 /// What became of one dispatch attempt.
 enum Served {
     /// Ran to completion at the given cycle.
@@ -647,6 +623,34 @@ enum Served {
     /// A core crash killed the attempt at the given cycle; the core is
     /// occupied until its restart.
     Killed { at: u64 },
+}
+
+/// One dispatch attempt, filled in stage by stage.
+#[derive(Default)]
+struct Attempt {
+    /// Data-cold fraction from the core's interleaving distance.
+    cold: f64,
+    /// Metadata transfer cycles: the fetch, plus the writeback once it
+    /// commits.
+    md_cycles: u64,
+    store_hit: bool,
+    /// Why chaos degraded this attempt to a cold run, if it did.
+    degrade: Option<DegradeReason>,
+    /// An open circuit breaker bypasses record/replay entirely.
+    breaker_bypass: bool,
+    /// The policy denied replay admission.
+    policy_bypass: bool,
+    res: InvocationResult,
+    /// Compute cycles, stretched by any straggle window.
+    exec_cycles: u64,
+    straggled: bool,
+    /// The (merged) region the engine handed back for writeback.
+    taken: Option<Metadata>,
+    service: u64,
+    completion: u64,
+    /// Store evictions/rejections the writeback caused, recorded at
+    /// completion time (collected only when the sink is enabled).
+    store_events: Vec<EventKind>,
 }
 
 /// The simulator: a prepared fleet ready to serve traces.
@@ -681,81 +685,37 @@ impl ClusterSim {
         &self.cfg
     }
 
-    /// Generates the configured arrival process and serves it.
+    /// Serves the configured Poisson/Zipf arrival process over the whole
+    /// suite, streamed from [`ArrivalConfig::source`]. The outcome equals
+    /// replaying [`ArrivalConfig::generate`]'s trace, which drains the
+    /// same source.
     pub fn run(&self) -> ClusterOutcome {
-        self.run_obs(&mut NullSink)
-    }
-
-    /// [`ClusterSim::run`] with event observation.
-    pub fn run_obs<S: EventSink>(&self, sink: &mut S) -> ClusterOutcome {
         let mut arrival = self.cfg.arrival;
         arrival.functions = self.functions.len();
-        self.run_trace_obs(&arrival.generate(), sink)
+        self.run_source(&mut arrival.source())
     }
 
-    /// Serves an explicit (possibly replayed) trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace references more functions than the suite has.
-    pub fn run_trace(&self, trace: &Trace) -> ClusterOutcome {
-        self.run_trace_obs(trace, &mut NullSink)
-    }
-
-    /// [`ClusterSim::run_trace`] with event observation: every DES
-    /// transition (arrival, dispatch, context switch, invocation span,
-    /// completion), every store access outcome and every record/replay
-    /// episode is reported to `sink`. With a sink whose
-    /// [`EventSink::enabled`] is `false` (the [`NullSink`]) this is
-    /// bit-identical to [`ClusterSim::run_trace`] — every emission site
-    /// is guarded, so the disabled path adds no work and no state.
-    pub fn run_trace_obs<S: EventSink>(&self, trace: &Trace, sink: &mut S) -> ClusterOutcome {
-        assert!(
-            trace.functions <= self.functions.len(),
-            "trace declares {} functions, suite has {}",
-            trace.functions,
-            self.functions.len()
-        );
-        self.run_source_obs(&mut TraceSource::new(trace), sink)
-    }
-
-    /// Serves a streaming [`ArrivalSource`] — the lazy counterpart of
-    /// [`ClusterSim::run_trace`]: arrivals are pulled one at a time (one
-    /// look-ahead arrival is held for event scheduling), so a
-    /// million-invocation workload runs in O(1) arrival state instead of
-    /// materializing the whole [`Trace`]. Replaying a materialized copy
-    /// of the same stream produces the identical outcome.
+    /// Serves a streaming [`ArrivalSource`], pulling one arrival at a
+    /// time, so a million-invocation workload runs in O(1) arrival state.
+    /// A materialized trace replays through
+    /// [`TraceSource`](ignite_workloads::arrival::TraceSource).
     ///
     /// # Panics
     ///
     /// Panics if the source declares more functions than the suite has.
     pub fn run_source<A: ArrivalSource + ?Sized>(&self, source: &mut A) -> ClusterOutcome {
-        self.run_source_obs(source, &mut NullSink)
+        self.run_source_policy_obs(source, &mut NullSink, &mut StaticPolicy)
     }
 
-    /// [`ClusterSim::run_source`] with event observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source declares more functions than the suite has.
-    pub fn run_source_obs<A: ArrivalSource + ?Sized, S: EventSink>(
-        &self,
-        source: &mut A,
-        sink: &mut S,
-    ) -> ClusterOutcome {
-        self.run_source_impl(source, sink, &mut StaticPolicy)
-    }
-
-    /// [`ClusterSim::run_source_obs`] with an active policy: the
-    /// simulator's four actuation points (replay admission, store
-    /// writeback admission, schedulable-core mask, keep-alive window)
-    /// consult `policy`, the policy observes every completed
-    /// invocation's attribution sample, and epoch decisions land on the
-    /// `Track::Controller` trace track. With [`StaticPolicy`] (or any
-    /// policy whose [`PolicyHook::enabled`] is `false`) this is
-    /// bit-identical to [`ClusterSim::run_source_obs`] — every
-    /// actuation site is guarded, the same zero-cost contract the event
-    /// sinks keep.
+    /// [`ClusterSim::run_source`] with observation and an active policy.
+    /// Every DES transition, store access outcome and record/replay
+    /// episode is reported to `sink`. The four actuation points (replay
+    /// admission, store writeback admission, schedulable-core mask,
+    /// keep-alive window) consult `policy`, which also observes every
+    /// completion's attribution sample; its epoch decisions land on the
+    /// `Track::Controller` trace track. Every emission and actuation site
+    /// is guarded, so a disabled sink ([`NullSink`]) and policy
+    /// ([`StaticPolicy`]) add no work and no state.
     ///
     /// # Panics
     ///
@@ -766,374 +726,790 @@ impl ClusterSim {
         sink: &mut S,
         policy: &mut P,
     ) -> ClusterOutcome {
-        self.run_source_impl(source, sink, policy)
+        let mut state = ClusterState::new(self, source, sink, policy);
+        while state.step() {}
+        state.finish()
     }
 
-    fn run_source_impl<A: ArrivalSource + ?Sized, S: EventSink, P: PolicyHook>(
-        &self,
-        source: &mut A,
-        sink: &mut S,
-        policy: &mut P,
-    ) -> ClusterOutcome {
+    /// Cycles to move `bytes` of metadata at the configured bandwidth.
+    fn transfer_cycles(&self, bytes: usize) -> u64 {
+        (bytes as f64 / self.cfg.dram_bytes_per_cycle.max(1.0)).ceil() as u64
+    }
+}
+
+/// Records one instantaneous event when the sink is enabled.
+#[inline]
+fn emit<S: EventSink>(sink: &mut S, ts: u64, track: Track, kind: EventKind) {
+    if sink.enabled() {
+        sink.record(Event { ts, dur: 0, track, kind });
+    }
+}
+
+/// One cluster run in progress: everything the event loop carries from
+/// one event time to the next. [`ClusterState::step`] handles one event
+/// time; [`ClusterState::finish`] builds the [`ClusterOutcome`].
+struct ClusterState<'a, A: ?Sized, S, P> {
+    sim: &'a ClusterSim,
+    source: &'a mut A,
+    sink: &'a mut S,
+    policy: &'a mut P,
+    ignite_on: bool,
+    nodes: Vec<Node>,
+    sched: Scheduler,
+    keepalive: KeepAliveRt,
+    /// Every core in global order (node-major), so completion and
+    /// freeing sweeps keep the exact single-node iteration order.
+    cores: Vec<Core>,
+    fns: Vec<FunctionState>,
+    chaos: Option<ChaosRt>,
+    /// One-arrival look-ahead: the head of the stream, needed to pick
+    /// the next event time. Refilled from the source on consumption —
+    /// the only arrival state held, whatever the stream length.
+    pending: Option<Arrival>,
+    fingerprint: FingerprintAccum,
+    /// Arrivals admitted so far (the next job id).
+    submitted: u64,
+    now: u64,
+    makespan: u64,
+}
+
+impl<'a, A: ArrivalSource + ?Sized, S: EventSink, P: PolicyHook> ClusterState<'a, A, S, P> {
+    fn new(sim: &'a ClusterSim, source: &'a mut A, sink: &'a mut S, policy: &'a mut P) -> Self {
         assert!(
-            source.functions() <= self.functions.len(),
+            source.functions() <= sim.functions.len(),
             "source declares {} functions, suite has {}",
             source.functions(),
-            self.functions.len()
+            sim.functions.len()
         );
-        let ignite_on = self.cfg.fe.select.ignite.is_some();
-        let nnodes = self.cfg.topology.nodes;
-        let cores_per_node = self.cfg.cores;
-        // Each node owns a store and a dispatch queue; cores live in one
-        // flat vector in global order (node-major), so completion and
-        // freeing sweeps keep the exact single-node iteration order.
-        let mut stores: Vec<MetadataStore> =
-            (0..nnodes).map(|_| MetadataStore::new(self.cfg.store)).collect();
-        let mut queues: Vec<VecDeque<Job>> = (0..nnodes).map(|_| VecDeque::new()).collect();
-        let mut node_submitted = vec![0u64; nnodes];
-        let mut node_completed = vec![0u64; nnodes];
-        let mut node_dropped = vec![0u64; nnodes];
-        let mut node_queue_peak = vec![0u64; nnodes];
-        let mut sched = Scheduler::new(self.cfg.topology.scheduler, self.cfg.arrival.seed);
-        let mut keepalive = KeepAliveRt::new(self.cfg.topology.keepalive, nnodes, self.abbrs.len());
-        let mut cores: Vec<Core> = (0..nnodes * cores_per_node)
-            .map(|_| Core {
-                machine: Machine::new(&self.uarch, &self.cfg.fe),
-                busy_until: 0,
-                busy: false,
-                seq: 0,
-                last_seq: BTreeMap::new(),
-                busy_cycles: 0,
-                invocations: 0,
-            })
-            .collect();
-        let mut fns: Vec<FunctionState> = self
-            .abbrs
-            .iter()
-            .map(|abbr| FunctionState {
-                abbr: abbr.clone(),
-                latencies: Vec::new(),
-                service_cycles: 0,
-                queue_cycles: 0,
-                cold_sum: 0.0,
-                hits: 0,
-                misses: 0,
-                retries: 0,
-                degraded: 0,
-                dropped: 0,
-                cold_starts: 0,
-                lukewarm_starts: 0,
-                warm_starts: 0,
-                min_service: u64::MAX,
-                count: 0,
-                result: InvocationResult::default(),
-            })
-            .collect();
-        let mut chaos: Option<ChaosRt> = self.cfg.chaos.map(|plan| ChaosRt {
-            state: ChaosState::for_cluster(plan, nnodes, cores_per_node),
-            retry: self.cfg.retry,
-            breakers: (0..self.abbrs.len())
-                .map(|_| {
-                    CircuitBreaker::new(
-                        self.cfg.retry.breaker_threshold,
-                        self.cfg.retry.breaker_cooldown_cycles,
-                    )
-                })
-                .collect(),
+        let cfg = &sim.cfg;
+        let nnodes = cfg.topology.nodes;
+        let breaker =
+            CircuitBreaker::new(cfg.retry.breaker_threshold, cfg.retry.breaker_cooldown_cycles);
+        let chaos = cfg.chaos.map(|plan| ChaosRt {
+            state: ChaosState::for_cluster(plan, nnodes, cfg.cores),
+            retry: cfg.retry,
+            breakers: vec![breaker; sim.abbrs.len()],
             ready: BTreeMap::new(),
             stats: ChaosStats::default(),
         });
+        let pending = source.next_arrival();
+        let fingerprint = FingerprintAccum::new(source.functions());
+        ClusterState {
+            sim,
+            source,
+            sink,
+            policy,
+            ignite_on: cfg.fe.select.ignite.is_some(),
+            nodes: (0..nnodes)
+                .map(|_| Node {
+                    store: MetadataStore::new(cfg.store),
+                    queue: VecDeque::new(),
+                    usage: NodeUsage::default(),
+                })
+                .collect(),
+            sched: Scheduler::new(cfg.topology.scheduler, cfg.arrival.seed),
+            keepalive: KeepAliveRt::new(cfg.topology.keepalive, nnodes, sim.abbrs.len()),
+            cores: (0..nnodes * cfg.cores).map(|_| Core::new(sim)).collect(),
+            fns: (sim.abbrs.iter())
+                .map(|abbr| {
+                    let summary = FunctionSummary {
+                        abbr: abbr.clone(),
+                        min_service: u64::MAX,
+                        ..FunctionSummary::default()
+                    };
+                    FunctionState { summary, ..FunctionState::default() }
+                })
+                .collect(),
+            chaos,
+            pending,
+            fingerprint,
+            submitted: 0,
+            now: 0,
+            makespan: 0,
+        }
+    }
 
-        // One-arrival look-ahead: the head of the stream, needed to pick
-        // the next event time. Refilled from the source on consumption —
-        // the only arrival state held, whatever the stream length.
-        let mut pending: Option<Arrival> = source.next_arrival();
-        let mut fingerprint = FingerprintAccum::new(source.functions());
-        let mut submitted = 0u64;
-        let mut now = 0u64;
-        let mut makespan = 0u64;
-        let mut all_latencies: Vec<u64> = Vec::new();
-        let mut latency_sum = 0u64;
-
-        loop {
-            // Epoch evaluation: when the clock has crossed the policy's
-            // next epoch boundary, snapshot the cluster gauges, let the
-            // policy actuate, and mirror each decision onto the
-            // controller trace track. Gated twice (enabled, then
-            // epoch_due) so the static path never assembles gauges.
-            if policy.enabled() && policy.epoch_due(now) {
-                let gauges = ClusterGauges {
-                    busy_cores: cores.iter().filter(|c| c.busy).count(),
-                    total_cores: cores.len(),
-                    cores_per_node,
-                    queued: queues.iter().map(|q| q.len()).sum(),
-                    footprint_bytes: stores.iter().map(|s| s.footprint_bytes() as u64).sum(),
-                    capacity_bytes: self.cfg.store.capacity_bytes as u64 * nnodes as u64,
-                    insertions: stores.iter().map(|s| s.stats().insertions).sum(),
-                    evictions: stores.iter().map(|s| s.stats().evictions).sum(),
-                    keepalive_enabled: keepalive.enabled(),
-                };
-                for d in policy.on_epoch(now, &gauges) {
-                    if sink.enabled() {
-                        sink.record(Event {
-                            ts: d.at,
-                            dur: 0,
-                            track: Track::Controller,
-                            kind: EventKind::Decision {
-                                rule: d.rule,
-                                epoch: d.epoch,
-                                function: d.function,
-                                value: d.value,
-                                observed: d.observed,
-                                threshold: d.threshold,
-                            },
-                        });
-                    }
-                }
-            }
-            // Dispatch each node's FIFO queue onto its free cores, nodes
-            // in index order, lowest core index first (under chaos, a
-            // core inside a crash window cannot accept work even when
-            // idle). With one node this is the single-queue loop
-            // verbatim. An enabled policy may cap the schedulable cores
-            // per node; high-index cores past the cap finish in-flight
-            // work but accept no new dispatches.
-            for ni in 0..nnodes {
-                let base = ni * cores_per_node;
-                let active = if policy.enabled() {
-                    policy.active_cores(cores_per_node).clamp(1, cores_per_node)
-                } else {
-                    cores_per_node
-                };
-                while !queues[ni].is_empty() {
-                    let free = (0..active).map(|i| base + i).find(|&g| {
-                        !cores[g].busy
-                            && chaos.as_mut().is_none_or(|rt| !rt.state.core_down(g, now))
-                    });
-                    let Some(gci) = free else { break };
-                    let mut job = queues[ni].pop_front().expect("non-empty queue");
-                    job.queue_accum += now - job.enqueued_at;
-                    let fi = job.arrival.function as usize;
-                    if let Some(rt) = chaos.as_mut() {
-                        let deadline = rt.retry.deadline_cycles;
-                        if deadline > 0 && now.saturating_sub(job.arrival.cycle) > deadline {
-                            rt.drop_job(
-                                &job,
-                                now,
-                                DropReason::Deadline,
-                                &mut fns[fi],
-                                &mut node_dropped,
-                                sink,
-                            );
-                            continue;
-                        }
-                        if rt.state.dispatch_dropped(job.id, job.attempt) {
-                            rt.stats.dispatch_drops += 1;
-                            rt.fail_attempt(job, now, 0, &mut fns[fi], &mut node_dropped, sink);
-                            continue;
-                        }
-                    }
-                    let served = self.dispatch(
-                        &job,
-                        now,
-                        &mut cores[gci],
-                        gci,
-                        ni,
-                        nnodes,
-                        &mut fns[fi],
-                        &mut stores[ni],
-                        ignite_on,
-                        &mut chaos,
-                        &mut keepalive,
-                        &mut *policy,
-                        sink,
-                    );
-                    match served {
-                        Served::Done { completion } => {
-                            makespan = makespan.max(completion);
-                            let latency = completion - job.arrival.cycle;
-                            all_latencies.push(latency);
-                            latency_sum += latency;
-                            fns[fi].latencies.push(latency);
-                            node_completed[ni] += 1;
-                            if let Some(rt) = chaos.as_mut() {
-                                rt.stats.completed += 1;
-                                if job.attempt > 1 {
-                                    rt.stats.retried_to_success += 1;
-                                }
-                            }
-                        }
-                        Served::Killed { at } => {
-                            let rt = chaos.as_mut().expect("attempts are only killed under chaos");
-                            rt.stats.crash_kills += 1;
-                            let elapsed = at - now;
-                            rt.fail_attempt(
-                                job,
-                                at,
-                                elapsed,
-                                &mut fns[fi],
-                                &mut node_dropped,
-                                sink,
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Next event: the earliest completion (or crashed-core
-            // restart), backoff expiry, arrival — or, when a node has
-            // queued work waiting only on repairs, the earliest restart
-            // among that node's cores.
-            let next_completion = cores.iter().filter(|c| c.busy).map(|c| c.busy_until).min();
-            let next_retry = chaos.as_ref().and_then(|rt| rt.ready.keys().next().map(|&(t, _)| t));
-            let next_arrival_cycle = pending.map(|a| a.cycle);
-            let next_restart = chaos.as_mut().and_then(|rt| {
-                (0..nnodes)
-                    .filter(|&ni| !queues[ni].is_empty())
-                    .filter_map(|ni| {
-                        let span = ni * cores_per_node..(ni + 1) * cores_per_node;
-                        rt.state.earliest_restart_among(span, now)
-                    })
-                    .min()
-            });
-            now = match [next_completion, next_retry, next_arrival_cycle, next_restart]
-                .into_iter()
-                .flatten()
-                .min()
-            {
-                None => break,
-                Some(t) => t,
-            };
-            // Completions first (a core freed at `now` can serve an arrival
-            // at `now`), in global core order.
-            for c in &mut cores {
-                if c.busy && c.busy_until <= now {
-                    c.busy = false;
-                }
-            }
-            // Then retries whose backoff expired, in (ready, id) order —
-            // ahead of arrivals at the same cycle, since they have been
-            // waiting longer end-to-end. A retry re-enters the queue of
-            // the node that first accepted it.
-            if let Some(rt) = chaos.as_mut() {
-                while rt.ready.first_key_value().is_some_and(|(&(t, _), _)| t <= now) {
-                    let (_, job) = rt.ready.pop_first().expect("non-empty retry queue");
-                    let ni = job.node;
-                    queues[ni].push_back(job);
-                    node_queue_peak[ni] = node_queue_peak[ni].max(queues[ni].len() as u64);
-                }
-            }
-            // Then arrivals at `now`, in stream order, each routed by the
-            // scheduler (a 1-node cluster routes to node 0 untouched).
-            while pending.is_some_and(|a| a.cycle <= now) {
-                let a = pending.expect("checked above");
-                pending = source.next_arrival();
-                fingerprint.observe(a);
-                if sink.enabled() {
-                    sink.record(Event {
-                        ts: a.cycle,
-                        dur: 0,
-                        track: Track::Cluster,
-                        kind: EventKind::Arrival { function: a.function },
-                    });
-                }
-                if let Some(rt) = chaos.as_mut() {
-                    rt.stats.submitted += 1;
-                }
-                let ni = if nnodes == 1 {
-                    0
-                } else {
-                    let container = self.functions[a.function as usize].container;
-                    let loads: Vec<NodeLoad> = (0..nnodes)
-                        .map(|n| {
-                            let span = &cores[n * cores_per_node..(n + 1) * cores_per_node];
-                            let busy = span.iter().filter(|c| c.busy).count();
-                            NodeLoad {
-                                busy_cores: busy,
-                                queued: queues[n].len(),
-                                free_cores: cores_per_node - busy,
-                                holds_metadata: ignite_on && stores[n].contains(container),
-                            }
-                        })
-                        .collect();
-                    let picked = sched.pick(&loads);
-                    if sink.enabled() {
-                        sink.record(Event {
-                            ts: a.cycle,
-                            dur: 0,
-                            track: Track::Cluster,
-                            kind: EventKind::Routed { function: a.function, node: picked as u32 },
-                        });
-                    }
-                    picked
-                };
-                node_submitted[ni] += 1;
-                queues[ni].push_back(Job {
-                    arrival: a,
-                    node: ni,
-                    id: submitted,
-                    attempt: 1,
-                    enqueued_at: a.cycle,
-                    queue_accum: 0,
-                    lost_cycles: 0,
-                });
-                node_queue_peak[ni] = node_queue_peak[ni].max(queues[ni].len() as u64);
-                submitted += 1;
+    /// Handles one event time, in the order the module doc lays out;
+    /// `false` once no event is left.
+    fn step(&mut self) -> bool {
+        self.evaluate_epoch();
+        for ni in 0..self.nodes.len() {
+            self.dispatch_node(ni);
+        }
+        let Some(now) = self.next_event() else { return false };
+        self.now = now;
+        // Completions first (a core freed at `now` can serve an arrival
+        // at `now`), in global core order.
+        for c in &mut self.cores {
+            if c.busy && c.busy_until <= now {
+                c.busy = false;
             }
         }
-        keepalive.finish(makespan);
-        let controller = if policy.enabled() { policy.finish(makespan) } else { None };
+        // Then retries whose backoff expired, in (ready, id) order —
+        // ahead of arrivals at the same cycle, since they have been
+        // waiting longer end-to-end. A retry re-enters the queue of the
+        // node that first accepted it.
+        if let Some(rt) = self.chaos.as_mut() {
+            while rt.ready.first_key_value().is_some_and(|(&(t, _), _)| t <= now) {
+                let (_, job) = rt.ready.pop_first().expect("non-empty retry queue");
+                self.nodes[job.node].enqueue(job);
+            }
+        }
+        // Then arrivals at `now`, in stream order, each routed by the
+        // scheduler.
+        while let Some(a) = self.pending.filter(|a| a.cycle <= now) {
+            self.pending = self.source.next_arrival();
+            self.fingerprint.observe(a);
+            emit(self.sink, a.cycle, Track::Cluster, EventKind::Arrival { function: a.function });
+            if let Some(rt) = self.chaos.as_mut() {
+                rt.stats.submitted += 1;
+            }
+            let ni = self.route(a);
+            let node = &mut self.nodes[ni];
+            node.usage.submitted += 1;
+            node.enqueue(Job {
+                arrival: a,
+                node: ni,
+                id: self.submitted,
+                attempt: 1,
+                enqueued_at: a.cycle,
+                queue_accum: 0,
+                lost_cycles: 0,
+            });
+            self.submitted += 1;
+        }
+        true
+    }
 
-        // Summaries.
-        all_latencies.sort_unstable();
-        let functions = fns
-            .into_iter()
-            .enumerate()
-            .map(|(fi, mut f)| {
-                f.latencies.sort_unstable();
-                let n = f.latencies.len() as f64;
-                FunctionSummary {
-                    abbr: f.abbr,
-                    invocations: f.latencies.len() as u64,
-                    p50_latency: percentile(&f.latencies, 50),
-                    p95_latency: percentile(&f.latencies, 95),
-                    p99_latency: percentile(&f.latencies, 99),
-                    mean_service: if n == 0.0 { 0.0 } else { f.service_cycles as f64 / n },
-                    mean_queue: if n == 0.0 { 0.0 } else { f.queue_cycles as f64 / n },
-                    mean_cold_fraction: if n == 0.0 { 0.0 } else { f.cold_sum / n },
-                    metadata_hits: f.hits,
-                    metadata_misses: f.misses,
-                    retries: f.retries,
-                    degraded: f.degraded,
-                    dropped: f.dropped,
-                    cold_starts: f.cold_starts,
-                    lukewarm_starts: f.lukewarm_starts,
-                    warm_starts: f.warm_starts,
-                    min_service: if f.min_service == u64::MAX { 0 } else { f.min_service },
-                    wasted_keepalive_cycles: keepalive.wasted_for_function(fi),
-                    result: f.result,
+    /// Epoch evaluation: when the clock has crossed the policy's next
+    /// epoch boundary, snapshot the cluster gauges, let the policy
+    /// actuate, and mirror each decision onto the controller trace
+    /// track. Gated twice (enabled, then epoch_due) so the static path
+    /// never assembles gauges.
+    fn evaluate_epoch(&mut self) {
+        if !(self.policy.enabled() && self.policy.epoch_due(self.now)) {
+            return;
+        }
+        let stores = || self.nodes.iter().map(|n| &n.store);
+        let gauges = ClusterGauges {
+            busy_cores: self.cores.iter().filter(|c| c.busy).count(),
+            total_cores: self.cores.len(),
+            cores_per_node: self.sim.cfg.cores,
+            queued: self.nodes.iter().map(|n| n.queue.len()).sum(),
+            footprint_bytes: stores().map(|s| s.footprint_bytes() as u64).sum(),
+            capacity_bytes: self.sim.cfg.store.capacity_bytes as u64 * self.nodes.len() as u64,
+            insertions: stores().map(|s| s.stats().insertions).sum(),
+            evictions: stores().map(|s| s.stats().evictions).sum(),
+            keepalive_enabled: self.keepalive.enabled(),
+        };
+        for d in self.policy.on_epoch(self.now, &gauges) {
+            let kind = EventKind::Decision {
+                rule: d.rule,
+                epoch: d.epoch,
+                function: d.function,
+                value: d.value,
+                observed: d.observed,
+                threshold: d.threshold,
+            };
+            emit(self.sink, d.at, Track::Controller, kind);
+        }
+    }
+
+    /// Dispatches node `ni`'s FIFO queue onto its free cores, lowest
+    /// core index first (under chaos, a core inside a crash window
+    /// cannot accept work even when idle). An enabled policy may cap the
+    /// schedulable cores per node; high-index cores past the cap finish
+    /// in-flight work but accept no new dispatches.
+    fn dispatch_node(&mut self, ni: usize) {
+        let cores_per_node = self.sim.cfg.cores;
+        let base = ni * cores_per_node;
+        let active = if self.policy.enabled() {
+            self.policy.active_cores(cores_per_node).clamp(1, cores_per_node)
+        } else {
+            cores_per_node
+        };
+        let now = self.now;
+        while !self.nodes[ni].queue.is_empty() {
+            let free = (base..base + active).find(|&g| {
+                !self.cores[g].busy
+                    && self.chaos.as_mut().is_none_or(|rt| !rt.state.core_down(g, now))
+            });
+            let Some(gci) = free else { break };
+            let mut job = self.nodes[ni].queue.pop_front().expect("non-empty queue");
+            job.queue_accum += now - job.enqueued_at;
+            if let Some(rt) = self.chaos.as_mut() {
+                let deadline = rt.retry.deadline_cycles;
+                if deadline > 0 && now.saturating_sub(job.arrival.cycle) > deadline {
+                    self.drop_job(&job, now, DropReason::Deadline);
+                    continue;
+                }
+                if rt.state.dispatch_dropped(job.id, job.attempt) {
+                    rt.stats.dispatch_drops += 1;
+                    self.fail_attempt(job, now, 0);
+                    continue;
+                }
+            }
+            match self.dispatch(&job, gci) {
+                Served::Done { completion } => {
+                    self.makespan = self.makespan.max(completion);
+                    let latency = completion - job.arrival.cycle;
+                    self.fns[job.arrival.function as usize].latencies.push(latency);
+                    self.nodes[ni].usage.completed += 1;
+                    if let Some(rt) = self.chaos.as_mut() {
+                        rt.stats.completed += 1;
+                        if job.attempt > 1 {
+                            rt.stats.retried_to_success += 1;
+                        }
+                    }
+                }
+                Served::Killed { at } => {
+                    let rt = self.chaos.as_mut().expect("attempts are only killed under chaos");
+                    rt.stats.crash_kills += 1;
+                    self.fail_attempt(job, at, at - now);
+                }
+            }
+        }
+    }
+
+    /// The next event time: the earliest completion (or crashed-core
+    /// restart), backoff expiry, arrival — or, when a node has queued
+    /// work waiting only on repairs, the earliest restart among that
+    /// node's cores. `None` once nothing is left to happen.
+    fn next_event(&mut self) -> Option<u64> {
+        let (now, cores_per_node) = (self.now, self.sim.cfg.cores);
+        let next_completion = self.cores.iter().filter(|c| c.busy).map(|c| c.busy_until).min();
+        let next_retry = self.chaos.as_ref().and_then(|rt| rt.ready.keys().next().map(|&(t, _)| t));
+        let next_arrival = self.pending.map(|a| a.cycle);
+        let next_restart = self.chaos.as_mut().and_then(|rt| {
+            (0..self.nodes.len())
+                .filter(|&ni| !self.nodes[ni].queue.is_empty())
+                .filter_map(|ni| {
+                    let span = ni * cores_per_node..(ni + 1) * cores_per_node;
+                    rt.state.earliest_restart_among(span, now)
+                })
+                .min()
+        });
+        [next_completion, next_retry, next_arrival, next_restart].into_iter().flatten().min()
+    }
+
+    /// Places an arrival on a node (a 1-node cluster routes to node 0
+    /// untouched).
+    fn route(&mut self, a: Arrival) -> usize {
+        if self.nodes.len() == 1 {
+            return 0;
+        }
+        let cores_per_node = self.sim.cfg.cores;
+        let container = self.sim.functions[a.function as usize].container;
+        let loads: Vec<NodeLoad> = (self.nodes.iter().enumerate())
+            .map(|(n, node)| {
+                let span = &self.cores[n * cores_per_node..(n + 1) * cores_per_node];
+                let busy = span.iter().filter(|c| c.busy).count();
+                NodeLoad {
+                    busy_cores: busy,
+                    queued: node.queue.len(),
+                    free_cores: cores_per_node - busy,
+                    holds_metadata: self.ignite_on && node.store.contains(container),
                 }
             })
             .collect();
-        let cores: Vec<CoreUsage> = cores
-            .into_iter()
-            .map(|c| CoreUsage {
-                invocations: c.invocations,
-                busy_cycles: c.busy_cycles,
-                utilization: if makespan == 0 {
-                    0.0
+        let picked = self.sched.pick(&loads);
+        let kind = EventKind::Routed { function: a.function, node: picked as u32 };
+        emit(self.sink, a.cycle, Track::Cluster, kind);
+        picked
+    }
+
+    /// Routes a failed attempt: bounded retry with deterministic
+    /// backoff, or a reasoned drop (retries exhausted, or the backoff
+    /// would land past the deadline). `elapsed` is how long the failed
+    /// attempt held resources (0 for a dispatch drop).
+    fn fail_attempt(&mut self, mut job: Job, fail_at: u64, elapsed: u64) {
+        let rt = self.chaos.as_mut().expect("attempts only fail under chaos");
+        rt.stats.attempts_failed += 1;
+        if job.attempt >= rt.retry.max_attempts {
+            self.drop_job(&job, fail_at, DropReason::RetriesExhausted);
+            return;
+        }
+        let backoff = rt.retry.backoff_for(rt.state.plan().seed, job.id, job.attempt);
+        let ready = fail_at.saturating_add(backoff);
+        let deadline = rt.retry.deadline_cycles;
+        if deadline > 0 && ready.saturating_sub(job.arrival.cycle) > deadline {
+            self.drop_job(&job, fail_at, DropReason::Deadline);
+            return;
+        }
+        rt.stats.backoff_cycles += backoff;
+        let function = job.arrival.function;
+        self.fns[function as usize].summary.retries += 1;
+        let kind =
+            EventKind::ChaosRetry { function, attempt: job.attempt, backoff_cycles: backoff };
+        emit(self.sink, fail_at, Track::Chaos, kind);
+        job.lost_cycles += elapsed + backoff;
+        job.attempt += 1;
+        job.enqueued_at = ready;
+        rt.ready.insert((ready, job.id), job);
+    }
+
+    /// Terminal failure exit: the job leaves the system with a reason
+    /// (the only alternative to completion under the conservation law).
+    fn drop_job(&mut self, job: &Job, at: u64, reason: DropReason) {
+        let stats = &mut self.chaos.as_mut().expect("jobs only drop under chaos").stats;
+        match reason {
+            DropReason::Deadline => stats.dropped_deadline += 1,
+            DropReason::RetriesExhausted => stats.dropped_retries_exhausted += 1,
+        }
+        let function = job.arrival.function;
+        self.fns[function as usize].summary.dropped += 1;
+        self.nodes[job.node].usage.dropped += 1;
+        emit(self.sink, at, Track::Chaos, EventKind::ChaosDrop { function, reason });
+    }
+
+    /// Store events land on the shared store track for single-node runs
+    /// (byte-identical traces) and on a per-node track otherwise.
+    fn store_track(&self, ni: usize) -> Track {
+        if self.nodes.len() > 1 {
+            Track::NodeStore(ni as u32)
+        } else {
+            Track::Store
+        }
+    }
+
+    /// Runs one dispatch attempt of `job` on core `gci`; returns how it
+    /// ended. The stages run in order: metadata staging, the engine run,
+    /// the crash check and writeback commit, and latency attribution.
+    ///
+    /// Without chaos this is the pre-chaos dispatch verbatim: every
+    /// chaos branch is behind `if let Some`, the job accumulators equal
+    /// the original expressions, and the attempt always completes.
+    fn dispatch(&mut self, job: &Job, gci: usize) -> Served {
+        let function = job.arrival.function;
+        let cold = self.cores[gci].touch(function as usize, self.sim.cfg.distance_saturation);
+        // Queue time accumulated across attempts; without chaos this is
+        // exactly `now - arrival`.
+        let kind = EventKind::Dispatch { function, queue_cycles: job.queue_accum };
+        emit(self.sink, self.now, Track::Core(gci as u32), kind);
+
+        let mut att = self.stage_metadata(job, gci, cold);
+        self.run_engine(job, gci, &mut att);
+        if let Some(crash_t) = self.commit(job, gci, &mut att) {
+            return Served::Killed { at: crash_t };
+        }
+        if self.sink.enabled() || self.policy.enabled() {
+            self.attribute(job, gci, &att);
+        }
+
+        if let Some(rt) = self.chaos.as_mut() {
+            rt.stats.retry_cycles += job.lost_cycles;
+        }
+        let core = &mut self.cores[gci];
+        core.busy = true;
+        core.busy_until = att.completion;
+        core.usage.busy_cycles += att.service;
+        core.usage.invocations += 1;
+        let fstate = &mut self.fns[function as usize];
+        fstate.service_cycles += att.service;
+        fstate.queue_cycles += job.queue_accum;
+        fstate.cold_sum += cold;
+        let summary = &mut fstate.summary;
+        // Temperature of this start, dslab-faas style: no usable replay
+        // state at all is cold; replayed with zero interleaving distance
+        // is warm; replayed but partially displaced is lukewarm.
+        if !self.ignite_on || att.degrade.is_some() || !att.store_hit {
+            summary.cold_starts += 1;
+        } else if cold == 0.0 {
+            summary.warm_starts += 1;
+        } else {
+            summary.lukewarm_starts += 1;
+        }
+        summary.min_service = summary.min_service.min(att.service);
+        summary.result.merge(&att.res);
+        Served::Done { completion: att.completion }
+    }
+
+    /// Stages the function's metadata region from the node store into
+    /// the core's replay engine, charging the transfer. Under chaos,
+    /// three gates can degrade this attempt to a cold run: an open
+    /// circuit breaker (full record/replay bypass), a store
+    /// unavailability window (no fetch at all), or a corrupt/lost region
+    /// detected after the fetch (region evicted, breaker fed).
+    fn stage_metadata(&mut self, job: &Job, gci: usize, cold: f64) -> Attempt {
+        let (now, ni, function) = (self.now, job.node, job.arrival.function);
+        let fi = function as usize;
+        let f = &self.sim.functions[fi];
+        // Policy replay admission: a denied function skips the store
+        // fetch entirely (no miss counted, nothing to re-record) and runs
+        // cold; its front-end stalls attribute to `cold_frontend`. With a
+        // disabled policy this is constant-false and the fetch gate below
+        // is `if ignite_on` exactly.
+        let policy_bypass =
+            self.policy.enabled() && self.ignite_on && !self.policy.replay_admitted(function);
+        let mut att = Attempt { cold, policy_bypass, ..Attempt::default() };
+        if !self.ignite_on || policy_bypass {
+            return att;
+        }
+        if let Some(rt) = self.chaos.as_mut() {
+            if !rt.breakers[fi].replay_allowed(now) {
+                att.degrade = Some(DegradeReason::BreakerOpen);
+                att.breaker_bypass = true;
+            } else if rt.state.store_unavailable_on(ni, now) {
+                att.degrade = Some(DegradeReason::StoreUnavailable);
+            }
+        }
+        if att.degrade.is_some() {
+            return att;
+        }
+        if self.keepalive.enabled() {
+            self.keepalive.on_fetch(ni, f.container, now);
+        }
+        let store_track = self.store_track(ni);
+        let Some(md) = self.nodes[ni].store.fetch(f.container).cloned() else {
+            self.fns[fi].summary.metadata_misses += 1;
+            emit(self.sink, now, store_track, EventKind::StoreMiss { container: f.container });
+            return att;
+        };
+        att.store_hit = true;
+        self.fns[fi].summary.metadata_hits += 1;
+        att.md_cycles += self.sim.transfer_cycles(md.byte_len());
+        let kind = EventKind::StoreHit { container: f.container, bytes: md.byte_len() as u64 };
+        emit(self.sink, now, store_track, kind);
+        // Chaos corruption draws on the fetched copy (seeded per
+        // (container, invocation), like the codec fault model it
+        // reuses). Stale-but-valid regions still install — replay
+        // handles them; only undecodable or lost regions degrade.
+        let installed: Option<Metadata> = match self.chaos.as_mut() {
+            Some(rt) if rt.state.plan().store_fault.is_active() => {
+                match rt.state.plan().store_fault.apply(&md, f.container, self.fns[fi].count) {
+                    Ok(Some(faulted)) if faulted.validate().is_ok() => Some(faulted),
+                    Ok(Some(_)) | Err(_) => {
+                        att.degrade = Some(DegradeReason::Corrupt);
+                        None
+                    }
+                    Ok(None) => {
+                        att.degrade = Some(DegradeReason::Loss);
+                        None
+                    }
+                }
+            }
+            _ => Some(md),
+        };
+        match installed {
+            Some(md) => {
+                let ignite = self.cores[gci].machine.ignite.as_mut().expect("ignite selected");
+                ignite.install_metadata(f.container, md);
+                if let Some(rt) = self.chaos.as_mut() {
+                    let b = &mut rt.breakers[fi];
+                    let closes = b.closes();
+                    b.record_success();
+                    if b.closes() > closes {
+                        emit(self.sink, now, Track::Chaos, EventKind::BreakerClose { function });
+                    }
+                }
+            }
+            None => {
+                let rt = self.chaos.as_mut().expect("faults only fire under chaos");
+                // A region known bad must never be served again.
+                if self.nodes[ni].store.remove(f.container).is_some() {
+                    rt.stats.store_regions_dropped += 1;
+                }
+                let b = &mut rt.breakers[fi];
+                let opens = b.opens();
+                b.record_fault(now);
+                if b.opens() > opens {
+                    let kind =
+                        EventKind::BreakerOpen { function, faults: rt.retry.breaker_threshold };
+                    emit(self.sink, now, Track::Chaos, kind);
+                }
+            }
+        }
+        att
+    }
+
+    /// Runs the invocation on the core's persistent machine after a
+    /// context switch, takes back the (merged) region the engine hands
+    /// over for writeback, and applies any straggle window.
+    fn run_engine(&mut self, job: &Job, gci: usize, att: &mut Attempt) {
+        let now = self.now;
+        let f = &self.sim.functions[job.arrival.function as usize];
+        let track = Track::Core(gci as u32);
+        let core = &mut self.cores[gci];
+        core.machine.context_switch();
+        emit(self.sink, now, track, EventKind::ContextSwitch);
+        let bypass_ignite = att.breaker_bypass || att.policy_bypass;
+        let ctx = InvocationCtx { data_cold_fraction: att.cold, bypass_ignite };
+        // The engine portion of the dispatch starts after the metadata
+        // fetch transfer on the cluster clock. Map machine-local cycles
+        // onto the cluster clock: the machine clock (busy cycles only)
+        // never exceeds cluster time.
+        debug_assert!(core.machine.now <= now, "machine clock ahead of cluster clock");
+        let ts_offset = (now + att.md_cycles).saturating_sub(core.machine.now);
+        let fstate = &mut self.fns[job.arrival.function as usize];
+        att.res = run_invocation_obs(
+            &mut core.machine,
+            f,
+            fstate.count,
+            ctx,
+            self.sink,
+            track,
+            ts_offset,
+        );
+        fstate.count += 1;
+        if self.ignite_on {
+            let ignite = core.machine.ignite.as_mut().expect("ignite selected");
+            att.taken = ignite.take_metadata(f.container);
+        }
+        // Straggler windows stretch the attempt's compute cycles; the
+        // extra cycles are charged to the execution component so the
+        // attribution tiling stays exact.
+        att.exec_cycles = att.res.cycles;
+        if let Some(rt) = self.chaos.as_mut() {
+            let factor = rt.state.straggle_factor_milli(gci, now);
+            if factor > 1000 {
+                att.straggled = true;
+                att.exec_cycles = ((u128::from(att.res.cycles) * u128::from(factor)) / 1000) as u64;
+            }
+        }
+    }
+
+    /// Sizes the writeback of the region the engine handed back, checks
+    /// the attempt against the crash schedule, and — if it survived —
+    /// commits the writeback to the node store. Returns the crash cycle
+    /// of a killed attempt.
+    fn commit(&mut self, job: &Job, gci: usize, att: &mut Attempt) -> Option<u64> {
+        let (now, ni, function) = (self.now, job.node, job.arrival.function);
+        let container = self.sim.functions[function as usize].container;
+        // Size the writeback, but do not commit it yet: a crash that
+        // kills this attempt must also kill its writeback.
+        let mut wb: Option<Metadata> = None;
+        let mut wb_cycles = 0u64;
+        let mut wb_skipped = false;
+        if let Some(md) = att.taken.take() {
+            let wb_at = now + att.md_cycles + att.exec_cycles;
+            if self.policy.enabled() && !self.policy.store_admitted(function, md.byte_len() as u64)
+            {
+                // Policy tightened store admission: the recording is
+                // discarded, saving footprint and writeback bandwidth
+                // (the next fetch misses and re-records).
+            } else if self.chaos.as_mut().is_some_and(|rt| rt.state.store_unavailable_on(ni, wb_at))
+            {
+                // Unreachable store: the region is simply lost (the
+                // next fetch misses and re-records).
+                wb_skipped = true;
+            } else {
+                wb_cycles = self.sim.transfer_cycles(md.byte_len());
+                wb = Some(md);
+            }
+        }
+        att.service = att.exec_cycles + att.md_cycles + wb_cycles;
+        let completion = now + att.service;
+        att.completion = completion;
+
+        // Crash check: a crash window opening while this attempt holds
+        // the core kills it — no completion, no writeback, a fresh
+        // (fully cold) machine, and the core held busy until repair.
+        if let Some(rt) = self.chaos.as_mut() {
+            let crash_t = if completion > now + 1 {
+                rt.state.crash_in(gci, now + 1, completion - 1)
+            } else {
+                None
+            };
+            if let Some(crash_t) = crash_t {
+                let restart = rt
+                    .state
+                    .core_restart_after(gci, crash_t)
+                    .expect("crash window contains its own start");
+                let core = gci as u32;
+                emit(self.sink, crash_t, Track::Chaos, EventKind::CoreCrash { core });
+                let kind = EventKind::CoreRestore { core, down_cycles: restart - crash_t };
+                emit(self.sink, restart, Track::Chaos, kind);
+                let core = &mut self.cores[gci];
+                core.machine = Machine::new(&self.sim.uarch, &self.sim.cfg.fe);
+                core.last_seq.clear();
+                core.busy = true;
+                core.busy_until = restart;
+                // The core worked (was busy) until the crash; the repair
+                // window is downtime, not utilization.
+                core.usage.busy_cycles += crash_t - now;
+                return Some(crash_t);
+            }
+        }
+
+        // The attempt survived: commit the writeback.
+        if wb_skipped {
+            if let Some(rt) = self.chaos.as_mut() {
+                rt.stats.writeback_skipped += 1;
+            }
+        }
+        if let Some(md) = wb {
+            let bytes = md.byte_len() as u64;
+            att.md_cycles += wb_cycles;
+            // Keep-alive protected regions are evicted only as a last
+            // resort; with keep-alive off the closure is never true and
+            // the insert is the plain insert, branch for branch.
+            let keepalive = &self.keepalive;
+            let outcome = self.nodes[ni]
+                .store
+                .insert_protected(container, md, &|c| keepalive.is_protected(ni, c, completion));
+            if self.keepalive.enabled() && !outcome.rejected {
+                let window = if self.policy.enabled() {
+                    self.policy.keepalive_window(function)
                 } else {
-                    c.busy_cycles as f64 / makespan as f64
-                },
-            })
-            .collect();
+                    None
+                };
+                let fi = function as usize;
+                self.keepalive.on_complete_with(ni, fi, container, completion, window);
+            }
+            if self.sink.enabled() {
+                for (victim, victim_bytes) in outcome.evicted {
+                    let kind =
+                        EventKind::StoreEvict { container: victim, bytes: victim_bytes as u64 };
+                    att.store_events.push(kind);
+                }
+                if outcome.rejected {
+                    att.store_events.push(EventKind::StoreReject { container, bytes });
+                }
+            }
+        }
+
+        if let Some(rt) = self.chaos.as_mut() {
+            if att.straggled {
+                rt.stats.straggled += 1;
+            }
+            if let Some(reason) = att.degrade {
+                self.fns[function as usize].summary.degraded += 1;
+                match reason {
+                    DegradeReason::StoreUnavailable => rt.stats.degraded_unavailable += 1,
+                    DegradeReason::Corrupt => rt.stats.degraded_corrupt += 1,
+                    DegradeReason::Loss => rt.stats.degraded_loss += 1,
+                    DegradeReason::BreakerOpen => rt.stats.degraded_breaker += 1,
+                }
+                emit(self.sink, now, Track::Chaos, EventKind::Degraded { function, reason });
+            }
+        }
+        None
+    }
+
+    /// Causal latency attribution. Latency decomposes exactly: `latency
+    /// = queue + retry + md_cycles + exec_cycles`, and the engine's
+    /// integer stall counters tile the compute cycles into front-end
+    /// penalty vs steady-state execution (straggle inflation is charged
+    /// to execution). Front-end stalls paid after a store miss are the
+    /// re-record cost Ignite could not avoid; after a hit (with Ignite
+    /// off, or with replay suppressed by policy) they are the residual
+    /// cold-front-end penalty; when chaos degraded replay away they are
+    /// the price of availability. The policy folds the same components
+    /// it would see on the trace, so the controller can run over a
+    /// [`NullSink`].
+    fn attribute(&mut self, job: &Job, gci: usize, att: &Attempt) {
+        let function = job.arrival.function;
+        let (now, completion) = (self.now, att.completion);
+        let frontend = att.res.front_end_stall_cycles();
+        let execution = att.exec_cycles - frontend;
+        let (cold_frontend, store_miss, degraded_cycles) = if att.degrade.is_some() {
+            (0, 0, frontend)
+        } else if self.ignite_on && !att.store_hit && !att.policy_bypass {
+            (0, frontend, 0)
+        } else {
+            (frontend, 0, 0)
+        };
+        if self.sink.enabled() {
+            // The writeback (and any evictions it forced) lands at
+            // completion time; the span covers fetch + engine +
+            // writeback.
+            let store_track = self.store_track(job.node);
+            for &kind in &att.store_events {
+                emit(self.sink, completion, store_track, kind);
+            }
+            let track = Track::Core(gci as u32);
+            let invocation = self.fns[function as usize].count - 1;
+            self.sink.record(Event {
+                ts: now,
+                dur: att.service,
+                track,
+                kind: EventKind::Invocation { function, invocation },
+            });
+            let service_cycles = att.service;
+            emit(self.sink, completion, track, EventKind::Complete { function, service_cycles });
+            let kind = EventKind::Attribution {
+                function,
+                queue_cycles: job.queue_accum,
+                retry_cycles: job.lost_cycles,
+                dram_cycles: att.md_cycles,
+                cold_frontend_cycles: cold_frontend,
+                store_miss_cycles: store_miss,
+                degraded_cycles,
+                execution_cycles: execution,
+                latency_cycles: completion - job.arrival.cycle,
+            };
+            emit(self.sink, completion, track, kind);
+        }
+        if self.policy.enabled() {
+            self.policy.observe(&PolicySample {
+                function,
+                completion,
+                latency_cycles: completion - job.arrival.cycle,
+                queue_cycles: job.queue_accum,
+                retry_cycles: job.lost_cycles,
+                dram_cycles: att.md_cycles,
+                cold_frontend_cycles: cold_frontend,
+                store_miss_cycles: store_miss,
+                degraded_cycles,
+                execution_cycles: execution,
+                store_hit: att.store_hit,
+                replay_suppressed: att.policy_bypass,
+            });
+        }
+    }
+
+    /// Closes the run: keep-alive and controller accounting end at the
+    /// makespan, and every ledger folds into the [`ClusterOutcome`].
+    fn finish(mut self) -> ClusterOutcome {
+        let makespan = self.makespan;
+        let cores_per_node = self.sim.cfg.cores;
+        self.keepalive.finish(makespan);
+        let controller = if self.policy.enabled() { self.policy.finish(makespan) } else { None };
+
+        // The cluster-wide latency distribution is the concatenation of
+        // the per-function ones.
+        let mut all_latencies: Vec<u64> =
+            self.fns.iter().flat_map(|f| f.latencies.iter().copied()).collect();
+        all_latencies.sort_unstable();
         let n = all_latencies.len();
+        let latency_sum: u64 = all_latencies.iter().sum();
         let mut latency_histogram = vec![0u64; LATENCY_BUCKETS.len() + 1];
         for &l in &all_latencies {
             let i = LATENCY_BUCKETS.iter().position(|&b| l <= b).unwrap_or(LATENCY_BUCKETS.len());
             latency_histogram[i] += 1;
         }
-        let chaos = chaos.map(|mut rt| {
+        let keepalive = &self.keepalive;
+        let functions = (self.fns.into_iter().enumerate())
+            .map(|(fi, mut f)| {
+                f.latencies.sort_unstable();
+                let n = f.latencies.len() as f64;
+                let mean = |sum: f64| if n == 0.0 { 0.0 } else { sum / n };
+                let min_service = f.summary.min_service;
+                FunctionSummary {
+                    invocations: f.latencies.len() as u64,
+                    p50_latency: percentile(&f.latencies, 50),
+                    p95_latency: percentile(&f.latencies, 95),
+                    p99_latency: percentile(&f.latencies, 99),
+                    mean_service: mean(f.service_cycles as f64),
+                    mean_queue: mean(f.queue_cycles as f64),
+                    mean_cold_fraction: mean(f.cold_sum),
+                    min_service: if min_service == u64::MAX { 0 } else { min_service },
+                    wasted_keepalive_cycles: keepalive.wasted_for_function(fi),
+                    ..f.summary
+                }
+            })
+            .collect();
+        let utilization = |busy: u64, cores: usize| {
+            if makespan == 0 {
+                0.0
+            } else {
+                busy as f64 / (makespan as f64 * cores as f64)
+            }
+        };
+        let cores: Vec<CoreUsage> = (self.cores.iter())
+            .map(|c| CoreUsage { utilization: utilization(c.usage.busy_cycles, 1), ..c.usage })
+            .collect();
+        let chaos = self.chaos.map(|mut rt| {
             for b in &rt.breakers {
                 rt.stats.breaker_opens += b.opens();
                 rt.stats.breaker_closes += b.closes();
@@ -1149,31 +1525,24 @@ impl ClusterSim {
         });
         // Per-node usage (cores are node-major, so each node's span is
         // contiguous) and the cluster-wide store aggregate.
-        let nodes: Vec<NodeUsage> = (0..nnodes)
-            .map(|ni| {
+        let nodes: Vec<NodeUsage> = (self.nodes.iter().enumerate())
+            .map(|(ni, node)| {
                 let span = &cores[ni * cores_per_node..(ni + 1) * cores_per_node];
                 let busy: u64 = span.iter().map(|c| c.busy_cycles).sum();
                 NodeUsage {
-                    submitted: node_submitted[ni],
-                    completed: node_completed[ni],
-                    dropped: node_dropped[ni],
-                    queue_peak: node_queue_peak[ni],
                     busy_cycles: busy,
-                    utilization: if makespan == 0 {
-                        0.0
-                    } else {
-                        busy as f64 / (makespan as f64 * cores_per_node as f64)
-                    },
-                    store: *stores[ni].stats(),
-                    footprint_bytes: stores[ni].footprint_bytes(),
-                    peak_footprint_bytes: stores[ni].peak_footprint_bytes(),
+                    utilization: utilization(busy, cores_per_node),
+                    store: *node.store.stats(),
+                    footprint_bytes: node.store.footprint_bytes(),
+                    peak_footprint_bytes: node.store.peak_footprint_bytes(),
                     wasted_keepalive_cycles: keepalive.wasted_on_node(ni),
+                    ..node.usage
                 }
             })
             .collect();
         let mut store_total = StoreStats::default();
-        for s in &stores {
-            let st = s.stats();
+        for node in &self.nodes {
+            let st = node.store.stats();
             store_total.hits += st.hits;
             store_total.misses += st.misses;
             store_total.insertions += st.insertions;
@@ -1190,8 +1559,8 @@ impl ClusterSim {
             nodes,
             functions,
             store: store_total,
-            footprint_bytes: stores.iter().map(|s| s.footprint_bytes()).sum(),
-            peak_footprint_bytes: stores.iter().map(|s| s.peak_footprint_bytes()).sum(),
+            footprint_bytes: self.nodes.iter().map(|n| n.store.footprint_bytes()).sum(),
+            peak_footprint_bytes: self.nodes.iter().map(|n| n.store.peak_footprint_bytes()).sum(),
             p50_latency: percentile(&all_latencies, 50),
             p95_latency: percentile(&all_latencies, 95),
             p99_latency: percentile(&all_latencies, 99),
@@ -1199,473 +1568,9 @@ impl ClusterSim {
             latency_histogram,
             latency_sum,
             chaos,
-            workload: fingerprint.finish(),
+            workload: self.fingerprint.finish(),
             controller,
         }
-    }
-
-    /// Runs one dispatch attempt on a core; returns how it ended.
-    ///
-    /// Without chaos this is the pre-chaos dispatch verbatim: every
-    /// chaos branch is behind `if let Some`, the job accumulators equal
-    /// the original expressions, and the attempt always completes.
-    #[allow(clippy::too_many_arguments)] // internal hot path; a context struct would be rebuilt per call
-    fn dispatch<S: EventSink, P: PolicyHook>(
-        &self,
-        job: &Job,
-        now: u64,
-        core: &mut Core,
-        ci: usize,
-        node: usize,
-        nnodes: usize,
-        fstate: &mut FunctionState,
-        store: &mut MetadataStore,
-        ignite_on: bool,
-        chaos: &mut Option<ChaosRt>,
-        keepalive: &mut KeepAliveRt,
-        policy: &mut P,
-        sink: &mut S,
-    ) -> Served {
-        let a = &job.arrival;
-        let f = &self.functions[a.function as usize];
-        // Store events land on the shared store track for single-node
-        // runs (byte-identical traces) and on a per-node track otherwise.
-        let store_track = if nnodes > 1 { Track::NodeStore(node as u32) } else { Track::Store };
-        // Interleaving distance → data coldness. Distance d counts the
-        // invocations of *other* functions on this core since this function
-        // last ran here; d = 0 (back-to-back) is fully warm, and coldness
-        // saturates at `distance_saturation`.
-        let cold = match core.last_seq.get(&(a.function as usize)) {
-            None => 1.0,
-            Some(&s) => {
-                let d = (core.seq - s - 1) as f64;
-                (d / self.cfg.distance_saturation.max(1.0)).min(1.0)
-            }
-        };
-        core.last_seq.insert(a.function as usize, core.seq);
-        core.seq += 1;
-
-        let track = Track::Core(ci as u32);
-        if sink.enabled() {
-            sink.record(Event {
-                ts: now,
-                dur: 0,
-                track,
-                // Queue time accumulated across attempts; without chaos
-                // this is exactly `now - a.cycle`.
-                kind: EventKind::Dispatch { function: a.function, queue_cycles: job.queue_accum },
-            });
-        }
-
-        // Stage the function's metadata region from the node store into
-        // the core's replay engine, charging the transfer. Under chaos,
-        // three gates can degrade this attempt to a cold run: an open
-        // circuit breaker (full record/replay bypass), a store
-        // unavailability window (no fetch at all), or a corrupt/lost
-        // region detected after the fetch (region evicted, breaker fed).
-        let mut md_cycles = 0u64;
-        let mut store_hit = false;
-        let mut degrade: Option<DegradeReason> = None;
-        let mut bypass = false;
-        // Policy replay admission: a denied function skips the store
-        // fetch entirely (no miss counted, nothing to re-record) and
-        // runs cold; its front-end stalls attribute to `cold_frontend`.
-        // With a disabled policy this is constant-false and the fetch
-        // gate below is the pre-seam `if ignite_on` exactly.
-        let policy_bypass = policy.enabled() && ignite_on && !policy.replay_admitted(a.function);
-        if ignite_on && !policy_bypass {
-            if let Some(rt) = chaos.as_mut() {
-                if !rt.breakers[a.function as usize].replay_allowed(now) {
-                    degrade = Some(DegradeReason::BreakerOpen);
-                    bypass = true;
-                } else if rt.state.store_unavailable_on(node, now) {
-                    degrade = Some(DegradeReason::StoreUnavailable);
-                }
-            }
-            if degrade.is_none() {
-                if keepalive.enabled() {
-                    keepalive.on_fetch(node, f.container, now);
-                }
-                let fetched = store.fetch(f.container).cloned();
-                match fetched {
-                    Some(md) => {
-                        store_hit = true;
-                        fstate.hits += 1;
-                        md_cycles += self.transfer_cycles(md.byte_len());
-                        if sink.enabled() {
-                            sink.record(Event {
-                                ts: now,
-                                dur: 0,
-                                track: store_track,
-                                kind: EventKind::StoreHit {
-                                    container: f.container,
-                                    bytes: md.byte_len() as u64,
-                                },
-                            });
-                        }
-                        // Chaos corruption draws on the fetched copy
-                        // (seeded per (container, invocation), like the
-                        // PR 1 codec fault model it reuses). Stale-but-
-                        // valid regions still install — replay handles
-                        // them; only undecodable or lost regions degrade.
-                        let installed: Option<Metadata> = match chaos.as_mut() {
-                            Some(rt) if rt.state.plan().store_fault.is_active() => {
-                                match rt.state.plan().store_fault.apply(
-                                    &md,
-                                    f.container,
-                                    fstate.count,
-                                ) {
-                                    Ok(Some(faulted)) if faulted.validate().is_ok() => {
-                                        Some(faulted)
-                                    }
-                                    Ok(Some(_)) | Err(_) => {
-                                        degrade = Some(DegradeReason::Corrupt);
-                                        None
-                                    }
-                                    Ok(None) => {
-                                        degrade = Some(DegradeReason::Loss);
-                                        None
-                                    }
-                                }
-                            }
-                            _ => Some(md),
-                        };
-                        match installed {
-                            Some(md) => {
-                                core.machine
-                                    .ignite
-                                    .as_mut()
-                                    .expect("ignite selected")
-                                    .install_metadata(f.container, md);
-                                if let Some(rt) = chaos.as_mut() {
-                                    let b = &mut rt.breakers[a.function as usize];
-                                    let closes = b.closes();
-                                    b.record_success();
-                                    if sink.enabled() && b.closes() > closes {
-                                        sink.record(Event {
-                                            ts: now,
-                                            dur: 0,
-                                            track: Track::Chaos,
-                                            kind: EventKind::BreakerClose { function: a.function },
-                                        });
-                                    }
-                                }
-                            }
-                            None => {
-                                let rt = chaos.as_mut().expect("faults only fire under chaos");
-                                // A region known bad must never be served
-                                // again.
-                                if store.remove(f.container).is_some() {
-                                    rt.stats.store_regions_dropped += 1;
-                                }
-                                let b = &mut rt.breakers[a.function as usize];
-                                let opens = b.opens();
-                                b.record_fault(now);
-                                if sink.enabled() && b.opens() > opens {
-                                    sink.record(Event {
-                                        ts: now,
-                                        dur: 0,
-                                        track: Track::Chaos,
-                                        kind: EventKind::BreakerOpen {
-                                            function: a.function,
-                                            faults: rt.retry.breaker_threshold,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        fstate.misses += 1;
-                        if sink.enabled() {
-                            sink.record(Event {
-                                ts: now,
-                                dur: 0,
-                                track: store_track,
-                                kind: EventKind::StoreMiss { container: f.container },
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        core.machine.context_switch();
-        if sink.enabled() {
-            sink.record(Event { ts: now, dur: 0, track, kind: EventKind::ContextSwitch });
-        }
-        let ctx =
-            InvocationCtx { data_cold_fraction: cold, bypass_ignite: bypass || policy_bypass };
-        // The engine portion of the dispatch starts after the metadata
-        // fetch transfer on the cluster clock. Map machine-local cycles
-        // onto the cluster clock: the machine clock (busy cycles only)
-        // never exceeds cluster time.
-        debug_assert!(core.machine.now <= now, "machine clock ahead of cluster clock");
-        let ts_offset = (now + md_cycles).saturating_sub(core.machine.now);
-        let res =
-            run_invocation_obs(&mut core.machine, f, fstate.count, ctx, sink, track, ts_offset);
-        fstate.count += 1;
-        // The (merged) region the engine hands back for writeback.
-        let taken = if ignite_on {
-            core.machine.ignite.as_mut().expect("ignite selected").take_metadata(f.container)
-        } else {
-            None
-        };
-
-        // Straggler windows stretch the attempt's compute cycles; the
-        // extra cycles are charged to the execution component so the
-        // attribution tiling stays exact.
-        let mut exec_cycles = res.cycles;
-        let mut straggled = false;
-        if let Some(rt) = chaos.as_mut() {
-            let factor = rt.state.straggle_factor_milli(ci, now);
-            if factor > 1000 {
-                straggled = true;
-                exec_cycles = ((u128::from(res.cycles) * u128::from(factor)) / 1000) as u64;
-            }
-        }
-
-        // Take the (merged) region destined for the node store, sizing
-        // the writeback — but do not commit it yet: a crash that kills
-        // this attempt must also kill its writeback.
-        let mut wb: Option<Metadata> = None;
-        let mut wb_cycles = 0u64;
-        let mut wb_skipped = false;
-        if ignite_on {
-            if let Some(md) = taken {
-                let wb_at = now + md_cycles + exec_cycles;
-                if policy.enabled() && !policy.store_admitted(a.function, md.byte_len() as u64) {
-                    // Policy tightened store admission: the recording is
-                    // discarded, saving footprint and writeback
-                    // bandwidth (the next fetch misses and re-records).
-                } else if chaos
-                    .as_mut()
-                    .is_some_and(|rt| rt.state.store_unavailable_on(node, wb_at))
-                {
-                    // Unreachable store: the region is simply lost (the
-                    // next fetch misses and re-records).
-                    wb_skipped = true;
-                } else {
-                    wb_cycles = self.transfer_cycles(md.byte_len());
-                    wb = Some(md);
-                }
-            }
-        }
-
-        let service = exec_cycles + md_cycles + wb_cycles;
-        let completion = now + service;
-
-        // Crash check: a crash window opening while this attempt holds
-        // the core kills it — no completion, no writeback, a fresh
-        // (fully cold) machine, and the core held busy until repair.
-        if let Some(rt) = chaos.as_mut() {
-            let crash_t = if completion > now + 1 {
-                rt.state.crash_in(ci, now + 1, completion - 1)
-            } else {
-                None
-            };
-            if let Some(crash_t) = crash_t {
-                let restart = rt
-                    .state
-                    .core_restart_after(ci, crash_t)
-                    .expect("crash window contains its own start");
-                if sink.enabled() {
-                    sink.record(Event {
-                        ts: crash_t,
-                        dur: 0,
-                        track: Track::Chaos,
-                        kind: EventKind::CoreCrash { core: ci as u32 },
-                    });
-                    sink.record(Event {
-                        ts: restart,
-                        dur: 0,
-                        track: Track::Chaos,
-                        kind: EventKind::CoreRestore {
-                            core: ci as u32,
-                            down_cycles: restart - crash_t,
-                        },
-                    });
-                }
-                core.machine = Machine::new(&self.uarch, &self.cfg.fe);
-                core.last_seq.clear();
-                core.busy = true;
-                core.busy_until = restart;
-                // The core worked (was busy) until the crash; the repair
-                // window is downtime, not utilization.
-                core.busy_cycles += crash_t - now;
-                return Served::Killed { at: crash_t };
-            }
-        }
-
-        // The attempt survived: commit the writeback.
-        let mut store_events: Vec<EventKind> = Vec::new();
-        if wb_skipped {
-            if let Some(rt) = chaos.as_mut() {
-                rt.stats.writeback_skipped += 1;
-            }
-        }
-        if let Some(md) = wb {
-            let bytes = md.byte_len() as u64;
-            md_cycles += wb_cycles;
-            // Keep-alive protected regions are evicted only as a last
-            // resort; with keep-alive off the closure is never true and
-            // the insert is the plain insert, branch for branch.
-            let outcome = store.insert_protected(f.container, md, &|c| {
-                keepalive.is_protected(node, c, completion)
-            });
-            if keepalive.enabled() && !outcome.rejected {
-                let window =
-                    if policy.enabled() { policy.keepalive_window(a.function) } else { None };
-                keepalive.on_complete_with(
-                    node,
-                    a.function as usize,
-                    f.container,
-                    completion,
-                    window,
-                );
-            }
-            if sink.enabled() {
-                for (victim, victim_bytes) in outcome.evicted {
-                    store_events.push(EventKind::StoreEvict {
-                        container: victim,
-                        bytes: victim_bytes as u64,
-                    });
-                }
-                if outcome.rejected {
-                    store_events.push(EventKind::StoreReject { container: f.container, bytes });
-                }
-            }
-        }
-
-        if let Some(rt) = chaos.as_mut() {
-            if straggled {
-                rt.stats.straggled += 1;
-            }
-            if let Some(reason) = degrade {
-                fstate.degraded += 1;
-                match reason {
-                    DegradeReason::StoreUnavailable => rt.stats.degraded_unavailable += 1,
-                    DegradeReason::Corrupt => rt.stats.degraded_corrupt += 1,
-                    DegradeReason::Loss => rt.stats.degraded_loss += 1,
-                    DegradeReason::BreakerOpen => rt.stats.degraded_breaker += 1,
-                }
-                if sink.enabled() {
-                    sink.record(Event {
-                        ts: now,
-                        dur: 0,
-                        track: Track::Chaos,
-                        kind: EventKind::Degraded { function: a.function, reason },
-                    });
-                }
-            }
-        }
-
-        if sink.enabled() || policy.enabled() {
-            // Causal latency attribution. Latency decomposes exactly:
-            // `latency = queue + retry + md_cycles + exec_cycles`, and
-            // the engine's integer stall counters tile the compute
-            // cycles into front-end penalty vs steady-state execution
-            // (straggle inflation is charged to execution). Front-end
-            // stalls paid after a store miss are the re-record cost
-            // Ignite could not avoid; after a hit (with Ignite off, or
-            // with replay suppressed by policy) they are the residual
-            // cold-front-end penalty; when chaos degraded replay away
-            // they are the price of availability. The policy folds the
-            // same components it would see on the trace, so the
-            // controller can run over a [`NullSink`].
-            let frontend = res.front_end_stall_cycles();
-            let execution = exec_cycles - frontend;
-            let (cold_frontend, store_miss, degraded_cycles) = if degrade.is_some() {
-                (0, 0, frontend)
-            } else if ignite_on && !store_hit && !policy_bypass {
-                (0, frontend, 0)
-            } else {
-                (frontend, 0, 0)
-            };
-            if sink.enabled() {
-                // The writeback (and any evictions it forced) lands at
-                // completion time; the span covers fetch + engine +
-                // writeback.
-                for kind in store_events {
-                    sink.record(Event { ts: completion, dur: 0, track: store_track, kind });
-                }
-                sink.record(Event {
-                    ts: now,
-                    dur: service,
-                    track,
-                    kind: EventKind::Invocation {
-                        function: a.function,
-                        invocation: fstate.count - 1,
-                    },
-                });
-                sink.record(Event {
-                    ts: completion,
-                    dur: 0,
-                    track,
-                    kind: EventKind::Complete { function: a.function, service_cycles: service },
-                });
-                sink.record(Event {
-                    ts: completion,
-                    dur: 0,
-                    track,
-                    kind: EventKind::Attribution {
-                        function: a.function,
-                        queue_cycles: job.queue_accum,
-                        retry_cycles: job.lost_cycles,
-                        dram_cycles: md_cycles,
-                        cold_frontend_cycles: cold_frontend,
-                        store_miss_cycles: store_miss,
-                        degraded_cycles,
-                        execution_cycles: execution,
-                        latency_cycles: completion - a.cycle,
-                    },
-                });
-            }
-            if policy.enabled() {
-                policy.observe(&PolicySample {
-                    function: a.function,
-                    completion,
-                    latency_cycles: completion - a.cycle,
-                    queue_cycles: job.queue_accum,
-                    retry_cycles: job.lost_cycles,
-                    dram_cycles: md_cycles,
-                    cold_frontend_cycles: cold_frontend,
-                    store_miss_cycles: store_miss,
-                    degraded_cycles,
-                    execution_cycles: execution,
-                    store_hit,
-                    replay_suppressed: policy_bypass,
-                });
-            }
-        }
-        if let Some(rt) = chaos.as_mut() {
-            rt.stats.retry_cycles += job.lost_cycles;
-        }
-        core.busy = true;
-        core.busy_until = completion;
-        core.busy_cycles += service;
-        core.invocations += 1;
-        fstate.service_cycles += service;
-        fstate.queue_cycles += job.queue_accum;
-        fstate.cold_sum += cold;
-        // Temperature of this start, dslab-faas style: no usable replay
-        // state at all is cold; replayed with zero interleaving distance
-        // is warm; replayed but partially displaced is lukewarm.
-        if !ignite_on || degrade.is_some() || !store_hit {
-            fstate.cold_starts += 1;
-        } else if cold == 0.0 {
-            fstate.warm_starts += 1;
-        } else {
-            fstate.lukewarm_starts += 1;
-        }
-        fstate.min_service = fstate.min_service.min(service);
-        fstate.result.merge(&res);
-        Served::Done { completion }
-    }
-
-    /// Cycles to move `bytes` of metadata at the configured bandwidth.
-    fn transfer_cycles(&self, bytes: usize) -> u64 {
-        (bytes as f64 / self.cfg.dram_bytes_per_cycle.max(1.0)).ceil() as u64
     }
 }
 
@@ -1735,6 +1640,7 @@ pub fn sweep_capacities(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ignite_workloads::arrival::TraceSource;
 
     fn quick_cfg() -> ClusterConfig {
         ClusterConfig {
@@ -1751,7 +1657,7 @@ mod tests {
             a.functions = 20;
             a.generate()
         };
-        let out = sim.run_trace(&trace);
+        let out = sim.run_source(&mut TraceSource::new(&trace));
         assert_eq!(out.invocations as usize, trace.arrivals.len());
         assert!(out.makespan > 0);
         let per_core: u64 = out.cores.iter().map(|c| c.invocations).sum();
@@ -1911,7 +1817,8 @@ mod tests {
         let sim = ClusterSim::new(quick_cfg());
         let plain = sim.run();
         let mut buf = ignite_obs::TraceBuffer::new(1 << 20);
-        let observed = sim.run_obs(&mut buf);
+        let mut source = sim.config().arrival.source();
+        let observed = sim.run_source_policy_obs(&mut source, &mut buf, &mut StaticPolicy);
         assert_eq!(plain, observed, "observation must not perturb the simulation");
         assert_eq!(buf.dropped(), 0, "buffer sized for the whole run");
         let names: std::collections::BTreeSet<&str> = buf.iter().map(|e| e.kind.name()).collect();
@@ -2053,7 +1960,8 @@ mod tests {
         // the 7-component attribution invariant for every completion.
         let sim = ClusterSim::new(chaos_cfg(7));
         let mut buf = ignite_obs::TraceBuffer::new(1 << 21);
-        let out = sim.run_obs(&mut buf);
+        let mut source = sim.config().arrival.source();
+        let out = sim.run_source_policy_obs(&mut source, &mut buf, &mut StaticPolicy);
         let mut attributed = 0u64;
         let mut latency_sum = 0u64;
         for e in buf.iter() {

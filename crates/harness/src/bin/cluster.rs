@@ -93,7 +93,7 @@ use ignite_chaos::{parse_chaos_spec, parse_retry_spec, ChaosPlan};
 use ignite_cluster::{
     metrics_for, record_metrics, record_trace_health, sweep_capacities, validate_trace,
     ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind, ObsSummary,
-    SchedulerKind,
+    SchedulerKind, StaticPolicy,
 };
 use ignite_control::{Controller, ControllerSpec};
 use ignite_core::EvictionPolicy;
@@ -474,6 +474,13 @@ fn main() -> ExitCode {
                 }
             };
             match Trace::parse(&text) {
+                Ok(trace) if trace.functions > cfg.arrival.functions => {
+                    eprintln!(
+                        "cluster: {path}: trace declares {} functions, suite has {}",
+                        trace.functions, cfg.arrival.functions
+                    );
+                    return ExitCode::FAILURE;
+                }
                 Ok(trace) => Some(trace),
                 Err(e) => {
                     eprintln!("cluster: {path}: {e}");
@@ -625,7 +632,7 @@ fn main() -> ExitCode {
     ) -> ClusterOutcome {
         match policy {
             Some(ctrl) => sim.run_source_policy_obs(source, sink, ctrl),
-            None => sim.run_source_obs(source, sink),
+            None => sim.run_source_policy_obs(source, sink, &mut StaticPolicy),
         }
     }
     let mut source = match build_source(&traffic_spec, &replay_trace, &cfg) {

@@ -18,6 +18,7 @@ use ignite_cluster::{
     sweep_capacities, ClusterConfig, ClusterReport, ClusterSim, KeepAliveKind, SchedulerKind,
     Topology,
 };
+use ignite_workloads::arrival::TraceSource;
 
 /// The pinned golden configuration: 4 cores, the full 20-function suite,
 /// Zipf(1.0) Poisson arrivals, a bounded LRU store. Small enough for CI,
@@ -228,6 +229,24 @@ fn sweep_stdout(jobs: &str) -> String {
     String::from_utf8(out.stdout).expect("utf-8 sweep output")
 }
 
+/// A trace file whose header declares more functions than the suite
+/// has is a user error: the CLI names it and exits 1 instead of
+/// tripping the simulator's assertion with a panic.
+#[test]
+fn cli_rejects_a_trace_wider_than_the_suite() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("wide.trace");
+    std::fs::write(&path, "ignite-trace-v1 25\n0 24\n").expect("write trace");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
+        .arg("--trace")
+        .arg(&path)
+        .output()
+        .expect("spawn cluster binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.contains("trace declares 25 functions, suite has 20"), "stderr: {stderr}");
+}
+
 /// Cross-process `--jobs` pinning: the panic-isolated fanout must merge
 /// sweep points in index order, so a 4-worker sweep prints the same
 /// bytes as a serial one.
@@ -243,6 +262,8 @@ fn sweep_output_is_byte_identical_across_job_counts() {
 /// The trace text format is a faithful transport: emitting the generated
 /// trace, parsing it back, and serving it reproduces the direct run
 /// byte-for-byte (the cluster binary's `--emit-trace`/`--trace` path).
+/// It also proves `run()`, which streams the arrival process instead of
+/// materializing it, exact against the materialized trace.
 #[test]
 fn replayed_trace_reproduces_direct_run() {
     let cfg = golden_cfg();
@@ -253,7 +274,7 @@ fn replayed_trace_reproduces_direct_run() {
     let trace = arrival.generate();
     let text = trace.to_text();
     let parsed = ignite_workloads::arrival::Trace::parse(&text).expect("round-trip parse");
-    let replayed = ClusterSim::new(cfg.clone()).run_trace(&parsed);
+    let replayed = ClusterSim::new(cfg.clone()).run_source(&mut TraceSource::new(&parsed));
     let a = ClusterReport::new(cfg.clone(), direct).to_json();
     let b = ClusterReport::new(cfg, replayed).to_json();
     assert_eq!(a, b, "trace replay must reproduce the direct run");

@@ -112,21 +112,20 @@ fn control_outcome(cfg: &ClusterConfig) -> ClusterOutcome {
 }
 
 /// The zero-cost-when-off contract: threading an explicit
-/// `StaticPolicy` through the policy entry point must reproduce the
-/// plain entry point exactly on every committed golden configuration.
+/// `StaticPolicy` and a recording `TraceBuffer` through the policy
+/// entry point must reproduce the plain entry point exactly on every
+/// committed golden configuration.
 #[test]
 fn static_policy_is_transparent_on_the_goldens() {
     for (name, cfg) in
         [("cluster", cluster_cfg()), ("chaos", chaos_cfg()), ("multinode", multinode_cfg())]
     {
         let sim = ClusterSim::new(cfg.clone());
-        let plain = {
-            let mut source = cfg.arrival.source();
-            sim.run_source_obs(&mut source, &mut NullSink)
-        };
+        let plain = sim.run_source(&mut cfg.arrival.source());
         let policied = {
             let mut source = cfg.arrival.source();
-            sim.run_source_policy_obs(&mut source, &mut NullSink, &mut StaticPolicy)
+            let mut buf = TraceBuffer::new(1 << 16);
+            sim.run_source_policy_obs(&mut source, &mut buf, &mut StaticPolicy)
         };
         assert_eq!(policied, plain, "{name}: StaticPolicy run diverged from the plain run");
         assert!(policied.controller.is_none(), "{name}: StaticPolicy must not attach stats");

@@ -2,7 +2,9 @@
 //! cross-process metrics byte-determinism, and the zero-perturbation
 //! guarantee (an enabled sink must not change simulation results).
 
-use ignite_cluster::{metrics_for, validate_trace, ClusterConfig, ClusterReport, ClusterSim};
+use ignite_cluster::{
+    metrics_for, validate_trace, ClusterConfig, ClusterReport, ClusterSim, StaticPolicy,
+};
 use ignite_obs::{to_chrome_json, ChromeOptions, TraceBuffer};
 
 /// Same pinned configuration as the cluster golden tests: long enough
@@ -18,7 +20,7 @@ fn traced_run() -> (ClusterConfig, ignite_cluster::ClusterOutcome, TraceBuffer) 
     let cfg = obs_cfg();
     let sim = ClusterSim::new(cfg.clone());
     let mut buf = TraceBuffer::new(1 << 20);
-    let outcome = sim.run_obs(&mut buf);
+    let outcome = sim.run_source_policy_obs(&mut cfg.arrival.source(), &mut buf, &mut StaticPolicy);
     (cfg, outcome, buf)
 }
 

@@ -21,7 +21,7 @@ use ignite_cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use ignite_traffic::{
     materialize, AzureSource, AzureTrace, DiurnalWave, MmppChain, ModulatedSource, TrafficSpec,
 };
-use ignite_workloads::arrival::{ArrivalSource, Trace};
+use ignite_workloads::arrival::{ArrivalSource, Trace, TraceSource};
 use ignite_workloads::Suite;
 use proptest::prelude::*;
 
@@ -174,7 +174,7 @@ fn streaming_matches_materialized_replay() {
             ClusterSim::new(cfg.clone()).run_source(&mut *source)
         };
         let trace = materialize(&mut *golden_source(&cfg, spec));
-        let replayed = ClusterSim::new(cfg.clone()).run_trace(&trace);
+        let replayed = ClusterSim::new(cfg.clone()).run_source(&mut TraceSource::new(&trace));
         let a = ClusterReport::new(cfg.clone(), streamed).to_json();
         let b = ClusterReport::new(cfg, replayed).to_json();
         assert_eq!(a, b, "streaming vs materialized diverged for {spec}");
